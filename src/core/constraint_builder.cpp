@@ -12,34 +12,6 @@ namespace icecube {
 
 namespace {
 
-/// Common targets of two actions (both vectors are tiny; quadratic scan).
-std::vector<ObjectId> common_targets(const Action& a, const Action& b) {
-  std::vector<ObjectId> out;
-  const auto ta = a.targets();
-  const auto tb = b.targets();
-  for (ObjectId x : ta) {
-    if (std::find(tb.begin(), tb.end(), x) != tb.end() &&
-        std::find(out.begin(), out.end(), x) == out.end()) {
-      out.push_back(x);
-    }
-  }
-  return out;
-}
-
-/// Allocation-free variant over pre-fetched target lists, writing into a
-/// caller-owned scratch vector (reused across pairs by the sparse builder).
-void common_targets_into(const std::vector<ObjectId>& ta,
-                         const std::vector<ObjectId>& tb,
-                         std::vector<ObjectId>& out) {
-  out.clear();
-  for (ObjectId x : ta) {
-    if (std::find(tb.begin(), tb.end(), x) != tb.end() &&
-        std::find(out.begin(), out.end(), x) == out.end()) {
-      out.push_back(x);
-    }
-  }
-}
-
 /// Rules 2–3 of §2.3 for the direction "a before b", given the shared-target
 /// set (rule 1 is the caller's: empty `shared` ⇒ safe). The iteration order
 /// of `shared` does not affect the result — `most_constraining` is a
@@ -64,11 +36,24 @@ Constraint evaluate_direction(const Universe& universe, const ActionRecord& a,
 
 }  // namespace
 
+void common_targets_into(std::span<const ObjectId> ta,
+                         std::span<const ObjectId> tb,
+                         std::vector<ObjectId>& out) {
+  out.clear();
+  for (ObjectId x : ta) {
+    if (std::find(tb.begin(), tb.end(), x) != tb.end() &&
+        std::find(out.begin(), out.end(), x) == out.end()) {
+      out.push_back(x);
+    }
+  }
+}
+
 Constraint evaluate_constraint(const Universe& universe, const ActionRecord& a,
                                const ActionRecord& b) {
+  std::vector<ObjectId> shared;
+  common_targets_into(a.action->targets(), b.action->targets(), shared);
   std::uint64_t order_calls = 0;
-  return evaluate_direction(universe, a, b,
-                            common_targets(*a.action, *b.action), order_calls);
+  return evaluate_direction(universe, a, b, shared, order_calls);
 }
 
 Constraint evaluate_constraint_over(const Universe& universe,
@@ -84,13 +69,14 @@ ConstraintMatrix build_constraints_dense(
     ConstraintBuildStats* stats) {
   ConstraintBuildStats local;
   ConstraintMatrix matrix(records.size());
+  std::vector<ObjectId> shared;
   for (std::size_t i = 0; i < records.size(); ++i) {
     for (std::size_t j = 0; j < records.size(); ++j) {
       if (i == j) continue;  // diagonal is meaningless; left safe
       ++local.pairs_evaluated;
       ++local.target_set_builds;
-      const auto shared =
-          common_targets(*records[i].action, *records[j].action);
+      common_targets_into(records[i].action->targets(),
+                          records[j].action->targets(), shared);
       matrix.set(ActionId(i), ActionId(j),
                  evaluate_direction(universe, records[i], records[j], shared,
                                     local.order_calls));

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,14 @@ class ConstraintMatrix {
   std::size_t n_ = 0;
   std::vector<Constraint> cells_;
 };
+
+/// The shared-target kernel every builder goes through: writes the distinct
+/// objects of `ta` that also appear in `tb`, in `ta` order, into `out`
+/// (cleared first). Target lists are tiny, so this is a quadratic scan;
+/// `out` is caller-owned scratch, reused across pairs by the bulk builders.
+void common_targets_into(std::span<const ObjectId> ta,
+                         std::span<const ObjectId> tb,
+                         std::vector<ObjectId>& out);
 
 /// Computes `constraint(a, b)` for one pair of action records, per the
 /// summary rules of §2.3:

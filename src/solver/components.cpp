@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 #include <queue>
 
 #include "solver/local_search.hpp"
@@ -51,37 +52,46 @@ std::vector<std::vector<ActionId>> conflict_components(
   return components;
 }
 
-SubProblem extract_subproblem(const std::vector<ActionRecord>& records,
-                              const SolverGraph& graph,
-                              const std::vector<ActionId>& members) {
+namespace {
+
+/// The one extraction body. `local_index` has a slot per caller id; only
+/// the members' slots are touched — each written before any read, since
+/// every adjacency entry of a member is itself a member — and each is
+/// reset to kNoLocalId before returning.
+SubProblem extract_with(const std::vector<ActionRecord>& records,
+                        const SolverGraph& graph,
+                        const std::vector<ActionId>& members,
+                        std::uint32_t* local_index) {
+  const auto by_priority = [&records](ActionId a, ActionId b) {
+    return stream_priority(records[a.index()]) <
+           stream_priority(records[b.index()]);
+  };
   SubProblem sub;
   sub.global_ids = members;
-  std::sort(sub.global_ids.begin(), sub.global_ids.end(),
-            [&records](ActionId a, ActionId b) {
-              return stream_priority(records[a.index()]) <
-                     stream_priority(records[b.index()]);
-            });
+  if (!std::is_sorted(sub.global_ids.begin(), sub.global_ids.end(),
+                      by_priority)) {
+    std::sort(sub.global_ids.begin(), sub.global_ids.end(), by_priority);
+  }
   const std::size_t m = sub.global_ids.size();
   assert(m > 0);
   sub.min_priority = stream_priority(records[sub.global_ids[0].index()]);
 
-  // Caller id → local id. A flat map would be O(n) per extraction; binary
-  // search over the (small) sorted-by-priority member list keeps the cost
-  // within the component. Members are not sorted by caller id, so build a
-  // sorted view once.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> to_local;
-  to_local.reserve(m);
   for (std::size_t i = 0; i < m; ++i) {
-    to_local.emplace_back(sub.global_ids[i].value(),
-                          static_cast<std::uint32_t>(i));
+    local_index[sub.global_ids[i].index()] = static_cast<std::uint32_t>(i);
   }
-  std::sort(to_local.begin(), to_local.end());
-  const auto local_of = [&to_local](ActionId global) {
-    const auto it = std::lower_bound(
-        to_local.begin(), to_local.end(),
-        std::make_pair(global.value(), std::uint32_t{0}));
-    assert(it != to_local.end() && it->first == global.value());
-    return ActionId(it->second);
+  const auto remap = [&](const std::vector<ActionId>& from,
+                         std::vector<ActionId>& to) {
+    to.reserve(from.size());
+    for (ActionId g : from) {
+      const std::uint32_t local = local_index[g.index()];
+      assert(local < m && sub.global_ids[local] == g &&
+             "adjacency leaves the component");
+      to.push_back(ActionId(local));
+    }
+    // The engine binary-searches these lists. Local ids follow priority,
+    // which batch flatten ids already do, so only arrival-order ids (the
+    // streaming daemon's) can leave a list out of order.
+    if (!std::is_sorted(to.begin(), to.end())) std::sort(to.begin(), to.end());
   };
 
   sub.records.reserve(m);
@@ -92,23 +102,39 @@ SubProblem extract_subproblem(const std::vector<ActionRecord>& records,
   for (std::size_t i = 0; i < m; ++i) {
     const std::size_t g = sub.global_ids[i].index();
     sub.records.push_back(records[g]);
-    for (ActionId p : graph.preds[g]) {
-      sub.graph.preds[i].push_back(local_of(p));
-    }
-    for (ActionId s : graph.succs[g]) {
-      sub.graph.succs[i].push_back(local_of(s));
-    }
-    for (ActionId o : graph.overlap_lists[g]) {
-      sub.graph.overlap_lists[i].push_back(local_of(o));
-    }
-    // Adjacency of a member stays within the component, but caller-id order
-    // is not local-id order, so re-sort (the engine binary-searches these).
-    std::sort(sub.graph.preds[i].begin(), sub.graph.preds[i].end());
-    std::sort(sub.graph.succs[i].begin(), sub.graph.succs[i].end());
-    std::sort(sub.graph.overlap_lists[i].begin(),
-              sub.graph.overlap_lists[i].end());
+    remap(graph.preds[g], sub.graph.preds[i]);
+    remap(graph.succs[g], sub.graph.succs[i]);
+    remap(graph.overlap_lists[g], sub.graph.overlap_lists[i]);
   }
+  for (ActionId g : sub.global_ids) local_index[g.index()] = kNoLocalId;
   return sub;
+}
+
+}  // namespace
+
+SubProblem extract_subproblem(const std::vector<ActionRecord>& records,
+                              const SolverGraph& graph,
+                              const std::vector<ActionId>& members,
+                              std::vector<std::uint32_t>& local_index) {
+  if (local_index.size() < records.size()) {
+    local_index.resize(records.size(), kNoLocalId);
+  }
+  assert(std::all_of(members.begin(), members.end(),
+                     [&local_index](ActionId g) {
+                       return local_index[g.index()] == kNoLocalId;
+                     }) &&
+         "index slot held by another extraction");
+  return extract_with(records, graph, members, local_index.data());
+}
+
+SubProblem extract_subproblem(const std::vector<ActionRecord>& records,
+                              const SolverGraph& graph,
+                              const std::vector<ActionId>& members) {
+  // Slots are written before they are read, so a fresh index needs no
+  // O(n) fill — only its allocation.
+  const auto local_index =
+      std::make_unique_for_overwrite<std::uint32_t[]>(records.size());
+  return extract_with(records, graph, members, local_index.get());
 }
 
 GreedyOrder greedy_order(const SolverGraph& graph) {
@@ -148,13 +174,18 @@ std::vector<RunStatus> replay_component(const SubProblem& sub,
                                         const Bitset& dropped,
                                         const Universe& pristine,
                                         Universe& working) {
-  // Rewind the component's slots; everything else is untouched.
+  // Rewind the component's slots; everything else is untouched. Slots are
+  // independent, so first-seen order serves and no sort is needed.
   std::vector<ObjectId> touched;
+  Bitset seen(pristine.size());
   for (const ActionRecord& rec : sub.records) {
-    for (ObjectId t : rec.action->targets()) touched.push_back(t);
+    for (ObjectId t : rec.action->targets()) {
+      if (!seen.test(t.index())) {
+        seen.set(t.index());
+        touched.push_back(t);
+      }
+    }
   }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   const auto rewind = [&] {
     for (ObjectId t : touched) working.share_slot_from(pristine, t);
   };

@@ -61,8 +61,27 @@ struct SubProblem {
 [[nodiscard]] std::vector<std::vector<ActionId>> conflict_components(
     const std::vector<ActionRecord>& records, const SolverGraph& graph);
 
+/// Free slot of an extraction index.
+inline constexpr std::uint32_t kNoLocalId = UINT32_MAX;
+
 /// Compacts one component (members as caller ids, any order) into a
-/// SubProblem.
+/// SubProblem in O(m + Σdeg) for m members.
+///
+/// `local_index` is the caller-owned dense caller-id → local-id index, one
+/// slot per caller id. Contract: on entry every slot holds kNoLocalId (an
+/// empty vector qualifies — it is grown to records.size() as needed, so it
+/// also follows a growing record set); on return it does again, because
+/// only the members' slots are written and exactly those are reset. One
+/// index therefore serves every extraction a solve loop makes, and its
+/// O(n) allocation is paid once per loop, not per component.
+[[nodiscard]] SubProblem extract_subproblem(
+    const std::vector<ActionRecord>& records, const SolverGraph& graph,
+    const std::vector<ActionId>& members,
+    std::vector<std::uint32_t>& local_index);
+
+/// One-off form for a caller without a loop to reuse an index across: same
+/// extraction through a fresh index, which costs an O(n)-slot allocation
+/// per call but no O(n) fill.
 [[nodiscard]] SubProblem extract_subproblem(
     const std::vector<ActionRecord>& records, const SolverGraph& graph,
     const std::vector<ActionId>& members);

@@ -1,6 +1,8 @@
 #include "solver/graph.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <span>
 
 namespace icecube {
 
@@ -39,65 +41,97 @@ SolverGraph build_solver_graph(const Universe& universe,
   graph.overlap_lists.resize(n);
   if (n == 0) return graph;
 
-  // Target → actions inverted index (dense over object ids, like the sparse
-  // matrix builder's).
-  std::vector<std::vector<ActionId>> by_target(universe.size());
+  // Every action's targets, fetched once (Action::targets() is a virtual
+  // call returning a fresh vector) into one flat array: action i's targets
+  // are target_ids[target_begin[i] .. target_begin[i + 1]).
+  std::vector<std::size_t> target_begin(n + 1, 0);
+  std::vector<ObjectId> target_ids;
   for (std::size_t i = 0; i < n; ++i) {
-    for (ObjectId t : records[i].action->targets()) {
-      by_target[t.index()].push_back(ActionId(i));
+    const std::vector<ObjectId> targets = records[i].action->targets();
+    target_ids.insert(target_ids.end(), targets.begin(), targets.end());
+    target_begin[i + 1] = target_ids.size();
+  }
+  const auto targets_of = [&](ActionId a) {
+    return std::span<const ObjectId>(
+        target_ids.data() + target_begin[a.index()],
+        target_ids.data() + target_begin[a.index() + 1]);
+  };
+
+  // Target → actions inverted index, flat like the target lists: group t
+  // is group_ids[group_begin[t] .. group_begin[t + 1]), ascending by id.
+  // Count each group's size at its own slot, prefix-sum to group ends,
+  // then fill every group backwards from its end, highest id first.
+  std::vector<std::size_t> group_begin(universe.size() + 1, 0);
+  for (ObjectId t : target_ids) ++group_begin[t.index()];
+  std::partial_sum(group_begin.begin(), group_begin.end(),
+                   group_begin.begin());
+  std::vector<ActionId> group_ids(target_ids.size());
+  for (std::size_t i = n; i-- > 0;) {
+    for (ObjectId t : targets_of(ActionId(i))) {
+      group_ids[--group_begin[t.index()]] = ActionId(i);
     }
   }
 
-  // Unordered pairs sharing at least one target, deduplicated across the
-  // targets they share.
-  std::vector<std::uint64_t> pair_keys;
-  for (const auto& group : by_target) {
-    for (std::size_t x = 0; x + 1 < group.size(); ++x) {
-      for (std::size_t y = x + 1; y < group.size(); ++y) {
-        const std::uint64_t lo = group[x].value();
-        const std::uint64_t hi = group[y].value();
-        pair_keys.push_back(lo < hi ? (lo << 32) | hi : (hi << 32) | lo);
-      }
-    }
-  }
-  std::sort(pair_keys.begin(), pair_keys.end());
-  pair_keys.erase(std::unique(pair_keys.begin(), pair_keys.end()),
-                  pair_keys.end());
-
-  for (const std::uint64_t key : pair_keys) {
-    const ActionId a(static_cast<std::size_t>(key >> 32));
-    const ActionId b(static_cast<std::size_t>(key & 0xffffffffULL));
-    const ActionRecord& ra = records[a.index()];
-    const ActionRecord& rb = records[b.index()];
-    graph.overlap_lists[a.index()].push_back(b);
-    graph.overlap_lists[b.index()].push_back(a);
-    // Per the Relations mapping, `constraint(x, y) = unsafe` adds the raw D
-    // edge y → x. A same-log pair is safe in its recorded direction (§2.3
-    // rule 2), so only the log-reversing direction is evaluated.
-    const bool a_first = ra.before_in_log(rb);
-    const bool b_first = rb.before_in_log(ra);
-    if (!a_first) {
-      if (stats != nullptr) ++stats->pairs_evaluated;
-      if (evaluate_constraint(universe, ra, rb) == Constraint::kUnsafe) {
-        graph.succs[b.index()].push_back(a);
-        graph.preds[a.index()].push_back(b);
-      }
-    }
-    if (!b_first) {
-      if (stats != nullptr) ++stats->pairs_evaluated;
-      if (evaluate_constraint(universe, rb, ra) == Constraint::kUnsafe) {
-        graph.succs[a.index()].push_back(b);
-        graph.preds[b.index()].push_back(a);
-      }
-    }
-    if (stats != nullptr) ++stats->target_set_builds;
-  }
-
+  // Each unordered pair sharing at least one target is visited once, from
+  // its lower id, in ascending (lower, higher) order. So every list below
+  // receives its entries in ascending id order — first the partners below
+  // the action, then those above — and needs no sort afterwards.
+  std::uint64_t order_calls = 0;
+  std::vector<ActionId> partners;  // scratch: one action's higher partners
+  std::vector<ObjectId> shared;    // scratch: one pair's shared targets
   for (std::size_t i = 0; i < n; ++i) {
-    std::sort(graph.preds[i].begin(), graph.preds[i].end());
-    std::sort(graph.succs[i].begin(), graph.succs[i].end());
-    std::sort(graph.overlap_lists[i].begin(), graph.overlap_lists[i].end());
+    const ActionId a(i);
+    const std::span<const ObjectId> ta = targets_of(a);
+    partners.clear();
+    for (std::size_t k = 0; k < ta.size(); ++k) {
+      const std::size_t t = ta[k].index();
+      for (std::size_t g = group_begin[t]; g < group_begin[t + 1]; ++g) {
+        if (group_ids[g] > a) partners.push_back(group_ids[g]);
+      }
+      // An action listing a target twice shares it with itself; that
+      // self-pair is part of the overlap relation (the incremental graph
+      // keeps it too).
+      if (std::find(ta.begin(), ta.begin() + k, ta[k]) != ta.begin() + k) {
+        partners.push_back(a);
+      }
+    }
+    std::sort(partners.begin(), partners.end());
+    partners.erase(std::unique(partners.begin(), partners.end()),
+                   partners.end());
+    const ActionRecord& ra = records[i];
+    for (const ActionId b : partners) {
+      const ActionRecord& rb = records[b.index()];
+      graph.overlap_lists[a.index()].push_back(b);
+      graph.overlap_lists[b.index()].push_back(a);
+      // One shared-target set serves both directions, built over the lower
+      // id's targets exactly as `build_constraints` builds it, so the two
+      // builders make the same `order()` calls.
+      common_targets_into(ta, targets_of(b), shared);
+      // Per the Relations mapping, `constraint(x, y) = unsafe` adds the raw
+      // D edge y → x. A same-log pair is safe in its recorded direction
+      // (§2.3 rule 2), so only the log-reversing direction is evaluated.
+      const bool a_first = ra.before_in_log(rb);
+      const bool b_first = rb.before_in_log(ra);
+      if (!a_first) {
+        if (stats != nullptr) ++stats->pairs_evaluated;
+        if (evaluate_constraint_over(universe, ra, rb, shared, order_calls) ==
+            Constraint::kUnsafe) {
+          graph.succs[b.index()].push_back(a);
+          graph.preds[a.index()].push_back(b);
+        }
+      }
+      if (!b_first) {
+        if (stats != nullptr) ++stats->pairs_evaluated;
+        if (evaluate_constraint_over(universe, rb, ra, shared, order_calls) ==
+            Constraint::kUnsafe) {
+          graph.succs[a.index()].push_back(b);
+          graph.preds[b.index()].push_back(a);
+        }
+      }
+      if (stats != nullptr) ++stats->target_set_builds;
+    }
   }
+  if (stats != nullptr) stats->order_calls += order_calls;
   return graph;
 }
 

@@ -561,13 +561,15 @@ void solve_decomposed(const SolveContext& ctx, Selection& selection,
   Universe working = ctx.initial->snapshot();
   std::vector<ComponentSolution> solved;
   solved.reserve(components.size());
+  std::vector<std::uint32_t> local_index;  // shared by every extraction
   for (const std::vector<ActionId>& members : components) {
     // Past the deadline the remaining components degrade to their greedy
     // construction — still a complete outcome, like the single-engine walk
     // stopping mid-run.
     const bool moves_now = allow_moves && !ctx.deadline->expired();
     stats.hit_limit |= allow_moves && !moves_now;
-    const SubProblem sub = extract_subproblem(records, *ctx.graph, members);
+    const SubProblem sub =
+        extract_subproblem(records, *ctx.graph, members, local_index);
     solved.push_back(solve_component(sub, *ctx.initial, working, options,
                                      moves_now, digest0, *ctx.deadline,
                                      stats));

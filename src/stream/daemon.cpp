@@ -275,8 +275,8 @@ void StreamReconciler::full_resolve(Agg& agg, std::uint32_t rep,
                                     bool allow_moves) {
   const ActionId root = graph_.component_root(ActionId(rep));
   const std::vector<ActionId>& members = graph_.component_members(root);
-  const SubProblem sub =
-      extract_subproblem(graph_.records(), graph_.graph(), members);
+  const SubProblem sub = extract_subproblem(graph_.records(), graph_.graph(),
+                                            members, local_index_);
   const std::uint64_t max_prio = stream_priority(sub.records.back());
   const Deadline no_deadline;
   ComponentSolution sol =
@@ -295,7 +295,12 @@ void StreamReconciler::full_resolve(Agg& agg, std::uint32_t rep,
     }
   }
 
-  for (std::uint32_t sid : agg.strands) strands_[sid].alive = false;
+  // A dead strand is only ever asked whether it is alive, so its solution
+  // is released here rather than held until the daemon is destroyed.
+  for (std::uint32_t sid : agg.strands) {
+    strands_[sid].alive = false;
+    strands_[sid].solution = {};
+  }
   agg.strands.clear();
   agg.tail_strand = kNoStrand;
 

@@ -220,6 +220,9 @@ class StreamReconciler {
   /// last_disrupt_epoch, so a continuously-appended tail strand still
   /// commits its settled head entries.
   std::vector<std::uint64_t> placed_epoch_;
+  /// extract_subproblem's caller-id → local-id index, shared by every
+  /// full re-solve (all slots free between calls).
+  std::vector<std::uint32_t> local_index_;
 
   std::vector<Strand> strands_;
   std::vector<std::uint32_t> agg_parent_;  ///< daemon-side union-find

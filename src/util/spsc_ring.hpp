@@ -80,8 +80,10 @@ class SpscRing {
   template <typename OutputIt>
   std::size_t pop_batch(OutputIt out_first, std::size_t max) {
     const std::size_t head = head_.load(std::memory_order_relaxed);
-    std::size_t avail =
-        (tail_.load(std::memory_order_acquire) - head) & kMask;
+    // Refresh try_pop's cached tail too: once head passes a stale cache,
+    // try_pop would read `head != tail_cache_` as "slot published".
+    tail_cache_ = tail_.load(std::memory_order_acquire);
+    std::size_t avail = (tail_cache_ - head) & kMask;
     if (avail > max) avail = max;
     for (std::size_t i = 0; i < avail; ++i) {
       *out_first++ = std::move(slots_[(head + i) & kMask]);

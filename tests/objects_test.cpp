@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "objects/counter.hpp"
 #include "objects/rw_register.hpp"
@@ -45,6 +46,12 @@ struct RegisterOrderCase {
   LogRelation rel;
   Constraint expected;
 };
+
+// Names each case by its action pair (e.g. "read_write"), so the printed
+// parameter, and the ctest name derived from it, stay the same across runs.
+void PrintTo(const RegisterOrderCase& c, std::ostream* os) {
+  *os << c.a << '_' << c.b;
+}
 
 class RegisterOrderTest
     : public ::testing::TestWithParam<RegisterOrderCase> {};
@@ -125,6 +132,10 @@ struct CounterOrderCase {
   LogRelation rel;
   Constraint expected;
 };
+
+void PrintTo(const CounterOrderCase& c, std::ostream* os) {
+  *os << c.a << '_' << c.b;
+}
 
 class CounterOrderTest : public ::testing::TestWithParam<CounterOrderCase> {};
 

@@ -18,6 +18,7 @@
 #include "core/constraint_builder.hpp"
 #include "core/log.hpp"
 #include "core/universe.hpp"
+#include "solver/graph.hpp"
 #include "test_helpers.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/generators.hpp"
@@ -74,6 +75,13 @@ void check_equivalence(const Universe& universe,
   EXPECT_EQ(sparse_stats.pairs_evaluated, pooled_stats.pairs_evaluated);
   EXPECT_EQ(sparse_stats.target_set_builds, pooled_stats.target_set_builds);
   EXPECT_EQ(sparse_stats.order_calls, pooled_stats.order_calls);
+
+  // The solver graph skips the in-log direction, which §2.3 rule 2 settles
+  // without an `order()` call, and builds each pair's shared set the same
+  // way — so it makes exactly the matrix builder's `order()` calls.
+  ConstraintBuildStats graph_stats;
+  (void)build_solver_graph(universe, records, &graph_stats);
+  EXPECT_EQ(graph_stats.order_calls, sparse_stats.order_calls);
 }
 
 TEST(SparseConstraints, EmptyAndSingleton) {

@@ -1,259 +1,60 @@
 #include "capture/chaos_spec_codec.hpp"
 
-#include <charconv>
-#include <cstdio>
-#include <string_view>
-#include <vector>
-
-#include "serialize/framing.hpp"
+#include "serialize/spec_text.hpp"
 
 namespace icecube {
 
 namespace {
 
 constexpr std::string_view kSpecMagic = "chaos-spec";
-constexpr int kSpecVersion = 1;
 
-std::string fmt_double(double v) {
-  char buf[64];
-  // 17 significant digits round-trip any double exactly, and re-printing
-  // the parsed value reproduces the same string.
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-void put(std::string& out, std::string_view key, const std::string& value) {
-  out += key;
-  out += ' ';
-  out += value;
-  out += '\n';
-}
-
-std::vector<std::string_view> split(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  std::size_t start = 0;
-  while (start < line.size()) {
-    const std::size_t end = line.find(' ', start);
-    if (end == std::string_view::npos) {
-      tokens.push_back(line.substr(start));
-      break;
-    }
-    if (end > start) tokens.push_back(line.substr(start, end - start));
-    start = end + 1;
-  }
-  return tokens;
-}
-
-bool parse_double(std::string_view token, double& out) {
-  const char* first = token.data();
-  const char* last = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(first, last, out);
-  return ec == std::errc{} && ptr == last;
+/// Every serialized field of a ChaosSpec, in wire order.
+template <typename V, typename Spec>
+void visit(V& v, Spec& spec) {
+  v.field("seed", spec.seed);
+  v.field("sites", spec.sites);
+  v.field("actions", spec.actions_per_site);
+  v.field("interval", spec.gossip_interval);
+  v.field("budget", spec.step_budget);
+  v.field("horizon", spec.fault_horizon);
+  v.field("pwindow", spec.partition_window);
+  v.field("crashlen", spec.crash_length);
+  v.field("deep", spec.deep_replay);
+  v.field("commit", spec.commitment);
+  auto& f = spec.faults;
+  v.field("corrupt", f.corrupt);
+  v.field("truncate", f.truncate);
+  v.field("site-down", f.site_down);
+  v.field("lose", f.lose);
+  v.field("max-corrupt", f.max_corrupt_bytes);
+  v.field("delay-max", f.delay_max);
+  v.field("reorder", f.reorder);
+  v.field("reorder-max", f.reorder_max);
+  v.field("duplicate", f.duplicate);
+  v.field("partition", f.partition);
+  v.field("drop-vote", f.drop_vote);
+  v.field("stale-vote", f.stale_vote);
+  v.field("capture-crash", f.capture_crash);
+  v.field("capture-short", f.capture_short);
+  v.field("capture-flip", f.capture_flip);
+  v.records("cut", spec.partitions, [](auto&& line, auto& p) {
+    line(p.a, p.b, p.at, p.heal_at);
+  });
+  v.records("crash", spec.crashes, [](auto&& line, auto& c) {
+    line(c.site, c.at, c.restart_at);
+  });
 }
 
 }  // namespace
 
 std::string encode_chaos_spec(const ChaosSpec& spec) {
-  std::string out;
-  out += kSpecMagic;
-  out += ' ';
-  out += std::to_string(kSpecVersion);
-  out += '\n';
-  put(out, "seed", std::to_string(spec.seed));
-  put(out, "sites", std::to_string(spec.sites));
-  put(out, "actions", std::to_string(spec.actions_per_site));
-  put(out, "interval", std::to_string(spec.gossip_interval));
-  put(out, "budget", std::to_string(spec.step_budget));
-  put(out, "horizon", std::to_string(spec.fault_horizon));
-  put(out, "pwindow", std::to_string(spec.partition_window));
-  put(out, "crashlen", std::to_string(spec.crash_length));
-  put(out, "deep", spec.deep_replay ? "1" : "0");
-  put(out, "commit", spec.commitment ? "1" : "0");
-  const FaultSpec& f = spec.faults;
-  put(out, "corrupt", fmt_double(f.corrupt));
-  put(out, "truncate", fmt_double(f.truncate));
-  put(out, "site-down", fmt_double(f.site_down));
-  put(out, "lose", fmt_double(f.lose));
-  put(out, "max-corrupt", std::to_string(f.max_corrupt_bytes));
-  put(out, "delay-max", std::to_string(f.delay_max));
-  put(out, "reorder", fmt_double(f.reorder));
-  put(out, "reorder-max", std::to_string(f.reorder_max));
-  put(out, "duplicate", fmt_double(f.duplicate));
-  put(out, "partition", fmt_double(f.partition));
-  put(out, "drop-vote", fmt_double(f.drop_vote));
-  put(out, "stale-vote", fmt_double(f.stale_vote));
-  put(out, "capture-crash", fmt_double(f.capture_crash));
-  put(out, "capture-short", fmt_double(f.capture_short));
-  put(out, "capture-flip", fmt_double(f.capture_flip));
-  for (const ChaosPartition& p : spec.partitions) {
-    put(out, "cut",
-        p.a + " " + p.b + " " + std::to_string(p.at) + " " +
-            std::to_string(p.heal_at));
-  }
-  for (const ChaosCrash& c : spec.crashes) {
-    put(out, "crash",
-        c.site + " " + std::to_string(c.at) + " " +
-            std::to_string(c.restart_at));
-  }
-  return out;
+  return spec_text::encode(kSpecMagic, [&](auto& v) { visit(v, spec); });
 }
 
 ChaosSpecDecode decode_chaos_spec(const std::string& text) {
-  using serialize_detail::parse_number;
   ChaosSpecDecode out;
-  if (text.empty()) {
-    out.error = {DecodeErrorKind::kEmptyInput, 0, {}};
-    return out;
-  }
-
-  std::vector<std::string_view> lines;
-  std::string_view rest = text;
-  while (!rest.empty()) {
-    const std::size_t nl = rest.find('\n');
-    lines.push_back(rest.substr(0, nl));
-    if (nl == std::string_view::npos) break;
-    rest.remove_prefix(nl + 1);
-  }
-  while (!lines.empty() && lines.back().empty()) lines.pop_back();
-  if (lines.empty()) {
-    out.error = {DecodeErrorKind::kEmptyInput, 0, {}};
-    return out;
-  }
-
-  const std::vector<std::string_view> head = split(lines.front());
-  if (head.size() != 2 || head[0] != kSpecMagic) {
-    out.error = {DecodeErrorKind::kBadHeader, 1, std::string(lines.front())};
-    return out;
-  }
-  const auto version = parse_number<int>(head[1]);
-  if (!version) {
-    out.error = {DecodeErrorKind::kBadHeader, 1, std::string(head[1])};
-    return out;
-  }
-  if (*version < 1 || *version > kSpecVersion) {
-    out.error = {DecodeErrorKind::kUnsupportedVersion, 1,
-                 "spec version " + std::to_string(*version)};
-    return out;
-  }
-
-  ChaosSpec& spec = out.spec;
-  FaultSpec& f = spec.faults;
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    const std::size_t line_no = i + 1;
-    const std::vector<std::string_view> tokens = split(lines[i]);
-    if (tokens.empty()) continue;
-    const std::string_view key = tokens.front();
-
-    const auto want = [&](std::size_t n) {
-      if (tokens.size() == n + 1) return true;
-      out.error = {DecodeErrorKind::kBadSyntax, line_no,
-                   std::string(lines[i])};
-      return false;
-    };
-    const auto num = [&](std::string_view token, auto& field) {
-      using T = std::remove_reference_t<decltype(field)>;
-      const auto v = parse_number<T>(token);
-      if (!v) {
-        out.error = {DecodeErrorKind::kBadNumber, line_no,
-                     std::string(token)};
-        return false;
-      }
-      field = *v;
-      return true;
-    };
-    const auto dbl = [&](std::string_view token, double& field) {
-      if (!parse_double(token, field)) {
-        out.error = {DecodeErrorKind::kBadNumber, line_no,
-                     std::string(token)};
-        return false;
-      }
-      return true;
-    };
-    const auto flag = [&](std::string_view token, bool& field) {
-      if (token == "1") {
-        field = true;
-      } else if (token == "0") {
-        field = false;
-      } else {
-        out.error = {DecodeErrorKind::kBadNumber, line_no,
-                     std::string(token)};
-        return false;
-      }
-      return true;
-    };
-
-    bool handled = true;
-    if (key == "seed") {
-      handled = want(1) && num(tokens[1], spec.seed);
-    } else if (key == "sites") {
-      handled = want(1) && num(tokens[1], spec.sites);
-    } else if (key == "actions") {
-      handled = want(1) && num(tokens[1], spec.actions_per_site);
-    } else if (key == "interval") {
-      handled = want(1) && num(tokens[1], spec.gossip_interval);
-    } else if (key == "budget") {
-      handled = want(1) && num(tokens[1], spec.step_budget);
-    } else if (key == "horizon") {
-      handled = want(1) && num(tokens[1], spec.fault_horizon);
-    } else if (key == "pwindow") {
-      handled = want(1) && num(tokens[1], spec.partition_window);
-    } else if (key == "crashlen") {
-      handled = want(1) && num(tokens[1], spec.crash_length);
-    } else if (key == "deep") {
-      handled = want(1) && flag(tokens[1], spec.deep_replay);
-    } else if (key == "commit") {
-      handled = want(1) && flag(tokens[1], spec.commitment);
-    } else if (key == "corrupt") {
-      handled = want(1) && dbl(tokens[1], f.corrupt);
-    } else if (key == "truncate") {
-      handled = want(1) && dbl(tokens[1], f.truncate);
-    } else if (key == "site-down") {
-      handled = want(1) && dbl(tokens[1], f.site_down);
-    } else if (key == "lose") {
-      handled = want(1) && dbl(tokens[1], f.lose);
-    } else if (key == "max-corrupt") {
-      handled = want(1) && num(tokens[1], f.max_corrupt_bytes);
-    } else if (key == "delay-max") {
-      handled = want(1) && num(tokens[1], f.delay_max);
-    } else if (key == "reorder") {
-      handled = want(1) && dbl(tokens[1], f.reorder);
-    } else if (key == "reorder-max") {
-      handled = want(1) && num(tokens[1], f.reorder_max);
-    } else if (key == "duplicate") {
-      handled = want(1) && dbl(tokens[1], f.duplicate);
-    } else if (key == "partition") {
-      handled = want(1) && dbl(tokens[1], f.partition);
-    } else if (key == "drop-vote") {
-      handled = want(1) && dbl(tokens[1], f.drop_vote);
-    } else if (key == "stale-vote") {
-      handled = want(1) && dbl(tokens[1], f.stale_vote);
-    } else if (key == "capture-crash") {
-      handled = want(1) && dbl(tokens[1], f.capture_crash);
-    } else if (key == "capture-short") {
-      handled = want(1) && dbl(tokens[1], f.capture_short);
-    } else if (key == "capture-flip") {
-      handled = want(1) && dbl(tokens[1], f.capture_flip);
-    } else if (key == "cut") {
-      ChaosPartition p;
-      handled = want(4) && num(tokens[3], p.at) && num(tokens[4], p.heal_at);
-      if (handled) {
-        p.a = std::string(tokens[1]);
-        p.b = std::string(tokens[2]);
-        spec.partitions.push_back(std::move(p));
-      }
-    } else if (key == "crash") {
-      ChaosCrash c;
-      handled = want(3) && num(tokens[2], c.at) && num(tokens[3], c.restart_at);
-      if (handled) {
-        c.site = std::string(tokens[1]);
-        spec.crashes.push_back(std::move(c));
-      }
-    } else {
-      out.error = {DecodeErrorKind::kUnknownOp, line_no, std::string(key)};
-      return out;
-    }
-    if (!handled) return out;
-  }
+  out.error = spec_text::decode(kSpecMagic, text,
+                                [&](auto& v) { visit(v, out.spec); });
   return out;
 }
 

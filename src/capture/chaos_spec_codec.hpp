@@ -2,8 +2,9 @@
 //
 // The first frame of every capture is the serialized spec of the run that
 // produced it; the replay engine re-derives the identical event sequence
-// from it (run_chaos is a pure function of its spec). The encoding is
-// line-based "key value" text under a versioned header:
+// from it (run_chaos is a pure function of its spec). The encoding is the
+// shared spec text (serialize/spec_text.hpp) under a "chaos-spec 1"
+// header:
 //
 //   chaos-spec 1
 //   seed 7
@@ -11,7 +12,6 @@
 //   cut s0 s1 10 120
 //   ...
 //
-// Doubles are printed with 17 significant digits, so
 // encode(decode(encode(s))) == encode(s) byte-for-byte — the replay
 // comparator relies on that stability. Volatile fields that cannot change
 // the event sequence (keep_trace, the capture sink, reconciler options —

@@ -143,37 +143,33 @@ ReplayResult replay_capture(const std::string& bytes,
   // else through the chaos harness.
   MemoryCaptureSink live;
   const std::string& spec_payload = capture.records.front().payload;
+  DecodeError spec_error;
   if (spec_payload.rfind("stream-spec", 0) == 0) {
-    StreamSpecDecode spec = decode_stream_spec(spec_payload);
-    if (!spec.ok()) {
-      result.error = spec.error;
-      result.error.context = "spec frame: " + result.error.context;
-      return result;
-    }
-    const StreamRunReport stream_report = run_stream(spec.spec, &live);
+    const StreamSpecDecode spec = decode_stream_spec(spec_payload);
+    spec_error = spec.error;
     // The summary-CRC check below reads report.trace_crc regardless of the
     // engine; the stream run's CRC drops into the same slot.
-    result.report.trace_crc = stream_report.trace_crc;
-  } else if (spec_payload.rfind("mc-spec", 0) == 0) {
-    mc::McSpecDecode spec = mc::decode_mc_spec(spec_payload);
-    if (!spec.ok()) {
-      result.error = spec.error;
-      result.error.context = "spec frame: " + result.error.context;
-      return result;
+    if (spec.ok()) {
+      result.report.trace_crc = run_stream(spec.spec, &live).trace_crc;
     }
-    const mc::McRunResult mc_result =
-        mc::run_mc_schedule(spec.config, spec.schedule, &live);
-    result.report.trace_crc = mc_result.trace_crc;
+  } else if (spec_payload.rfind("mc-spec", 0) == 0) {
+    const mc::McSpecDecode spec = mc::decode_mc_spec(spec_payload);
+    spec_error = spec.error;
+    if (spec.ok()) {
+      result.report.trace_crc =
+          mc::run_mc_schedule(spec.config, spec.schedule, &live).trace_crc;
+    }
   } else {
     ChaosSpecDecode spec = decode_chaos_spec(spec_payload);
-    if (!spec.ok()) {
-      result.error = spec.error;
-      result.error.context = "spec frame: " + result.error.context;
-      return result;
-    }
+    spec_error = spec.error;
     spec.spec.keep_trace = options.keep_trace;
     spec.spec.capture = &live;
-    result.report = run_chaos(spec.spec);
+    if (spec.ok()) result.report = run_chaos(spec.spec);
+  }
+  if (!spec_error.ok()) {
+    result.error = spec_error;
+    result.error.context = "spec frame: " + result.error.context;
+    return result;
   }
 
   const std::vector<CaptureRecord>& got = live.records();

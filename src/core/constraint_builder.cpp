@@ -10,32 +10,6 @@
 
 namespace icecube {
 
-namespace {
-
-/// Rules 2–3 of §2.3 for the direction "a before b", given the shared-target
-/// set (rule 1 is the caller's: empty `shared` ⇒ safe). The iteration order
-/// of `shared` does not affect the result — `most_constraining` is a
-/// commutative max — so one set serves both directions of a pair.
-Constraint evaluate_direction(const Universe& universe, const ActionRecord& a,
-                              const ActionRecord& b,
-                              const std::vector<ObjectId>& shared,
-                              std::uint64_t& order_calls) {
-  if (shared.empty()) return Constraint::kSafe;
-  if (a.before_in_log(b)) return Constraint::kSafe;
-  const LogRelation rel =
-      a.same_log(b) ? LogRelation::kSameLog : LogRelation::kAcrossLogs;
-  Constraint result = Constraint::kSafe;
-  for (ObjectId target : shared) {
-    ++order_calls;
-    result = most_constraining(
-        result, universe.at(target).order(*a.action, *b.action, rel));
-    if (result == Constraint::kUnsafe) break;  // cannot get worse
-  }
-  return result;
-}
-
-}  // namespace
-
 void common_targets_into(std::span<const ObjectId> ta,
                          std::span<const ObjectId> tb,
                          std::vector<ObjectId>& out) {
@@ -53,7 +27,7 @@ Constraint evaluate_constraint(const Universe& universe, const ActionRecord& a,
   std::vector<ObjectId> shared;
   common_targets_into(a.action->targets(), b.action->targets(), shared);
   std::uint64_t order_calls = 0;
-  return evaluate_direction(universe, a, b, shared, order_calls);
+  return evaluate_constraint_over(universe, a, b, shared, order_calls);
 }
 
 Constraint evaluate_constraint_over(const Universe& universe,
@@ -61,29 +35,20 @@ Constraint evaluate_constraint_over(const Universe& universe,
                                     const ActionRecord& b,
                                     const std::vector<ObjectId>& shared,
                                     std::uint64_t& order_calls) {
-  return evaluate_direction(universe, a, b, shared, order_calls);
-}
-
-ConstraintMatrix build_constraints_dense(
-    const Universe& universe, const std::vector<ActionRecord>& records,
-    ConstraintBuildStats* stats) {
-  ConstraintBuildStats local;
-  ConstraintMatrix matrix(records.size());
-  std::vector<ObjectId> shared;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    for (std::size_t j = 0; j < records.size(); ++j) {
-      if (i == j) continue;  // diagonal is meaningless; left safe
-      ++local.pairs_evaluated;
-      ++local.target_set_builds;
-      common_targets_into(records[i].action->targets(),
-                          records[j].action->targets(), shared);
-      matrix.set(ActionId(i), ActionId(j),
-                 evaluate_direction(universe, records[i], records[j], shared,
-                                    local.order_calls));
-    }
+  // Rules 2–3 of §2.3 (rule 1: empty `shared` ⇒ safe). `most_constraining`
+  // is a commutative max, so one set serves both directions of a pair.
+  if (shared.empty()) return Constraint::kSafe;
+  if (a.before_in_log(b)) return Constraint::kSafe;
+  const LogRelation rel =
+      a.same_log(b) ? LogRelation::kSameLog : LogRelation::kAcrossLogs;
+  Constraint result = Constraint::kSafe;
+  for (ObjectId target : shared) {
+    ++order_calls;
+    result = most_constraining(
+        result, universe.at(target).order(*a.action, *b.action, rel));
+    if (result == Constraint::kUnsafe) break;  // cannot get worse
   }
-  if (stats != nullptr) *stats = local;
-  return matrix;
+  return result;
 }
 
 ConstraintMatrix build_constraints(const Universe& universe,
@@ -153,13 +118,13 @@ ConstraintMatrix build_constraints(const Universe& universe,
           const ActionId b(pairs[p].second);
           common_targets_into(targets[a.index()], targets[b.index()], shared);
           matrix.set(a, b,
-                     evaluate_direction(universe, records[a.index()],
-                                        records[b.index()], shared,
-                                        local_order_calls));
+                     evaluate_constraint_over(universe, records[a.index()],
+                                              records[b.index()], shared,
+                                              local_order_calls));
           matrix.set(b, a,
-                     evaluate_direction(universe, records[b.index()],
-                                        records[a.index()], shared,
-                                        local_order_calls));
+                     evaluate_constraint_over(universe, records[b.index()],
+                                              records[a.index()], shared,
+                                              local_order_calls));
         }
         order_calls.fetch_add(local_order_calls, std::memory_order_relaxed);
       });

@@ -105,17 +105,11 @@ struct ConstraintBuildOptions {
 /// index: only pairs sharing at least one target are evaluated (everything
 /// else is `safe` by §2.3 rule 1), the shared-target set is computed once
 /// per unordered pair and reused for both directions, and evaluation is
-/// optionally sharded across a thread pool. Produces a matrix identical to
-/// `build_constraints_dense`.
+/// optionally sharded across a thread pool. Produces the matrix of the
+/// all-pairs scan (the oracle in tests/dense_constraints.hpp).
 [[nodiscard]] ConstraintMatrix build_constraints(
     const Universe& universe, const std::vector<ActionRecord>& records,
     const ConstraintBuildOptions& options = {});
-
-/// The original O(n²) all-pairs reference builder. Kept as the oracle for
-/// the sparse/dense equivalence tests and for complexity comparisons.
-[[nodiscard]] ConstraintMatrix build_constraints_dense(
-    const Universe& universe, const std::vector<ActionRecord>& records,
-    ConstraintBuildStats* stats = nullptr);
 
 /// Per-action bitsets of the *other* actions sharing at least one target,
 /// built through the same target→actions inverted index the sparse matrix

@@ -162,10 +162,10 @@ struct ReconcilerOptions {
   bool stop_at_first_complete = false;
 
   /// Anytime degradation: when `limits` exhaust without any complete
-  /// schedule, fall back to a greedy-insertion pass over the action set and
-  /// offer its (valid, non-optimal) schedule alongside whatever partial
-  /// outcomes the search retained. The reconcile result is then marked
-  /// `degraded`. See core/degrade.hpp.
+  /// schedule, run the greedy backend over the whole action set and offer
+  /// its (valid, non-optimal) schedule alongside whatever partial outcomes
+  /// the search retained. The reconcile result is then marked `degraded`.
+  /// See DESIGN.md §7.
   bool degrade_on_exhaustion = true;
 
   /// Static-equivalence pruning (§2: "recognises that other solutions are

@@ -28,8 +28,8 @@ struct Outcome {
   /// Cost assigned by the selection stage; lower is better.
   double cost = 0.0;
   /// True iff this outcome was produced by the budget-exhaustion fallback
-  /// (greedy insertion) rather than the search — valid, but with no
-  /// optimality claim. See core/degrade.hpp.
+  /// (the greedy backend) rather than the search — valid, but with no
+  /// optimality claim. See Reconciler::run and DESIGN.md §7.
   bool degraded = false;
 };
 

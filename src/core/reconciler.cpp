@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "core/degrade.hpp"
 #include "core/selection.hpp"
 #include "solver/backend.hpp"
 #include "util/timer.hpp"
@@ -96,14 +95,27 @@ ReconcileResult Reconciler::run() {
 
   // Graceful degradation (anytime behaviour): a budget-exhausted search
   // with no complete schedule still owes the caller a valid result. The
-  // greedy fallback always terminates and is offered through the same
-  // selection, so a better partial search result still wins on cost.
+  // greedy backend always terminates; it runs over the whole action set
+  // with no deadline and scratch counters (the search's stay as they
+  // were), and its outcome is offered through the same selection, so a
+  // better partial search result still wins on cost.
   const bool any_complete =
       std::any_of(selection.outcomes().begin(), selection.outcomes().end(),
                   [](const Outcome& o) { return o.complete; });
   if (options_.degrade_on_exhaustion && result.stats.hit_limit &&
       !any_complete && !records_.empty()) {
-    Outcome fallback = greedy_degraded_outcome(initial_, records_);
+    const Deadline unbounded;
+    SolveContext greedy_ctx = ctx;
+    greedy_ctx.deadline = &unbounded;
+    greedy_ctx.cutsets = nullptr;
+    Selection scratch(*policy_, 1);
+    SearchStats scratch_stats;
+    make_solver_backend(SolverKind::kGreedy)
+        ->solve(greedy_ctx, scratch, scratch_stats);
+    Outcome fallback = std::move(scratch.take().front());
+    fallback.degraded = true;
+    // Complete in the engine's sense only if nothing was dropped.
+    fallback.complete = fallback.skipped.empty();
     result.degraded = true;
     result.degraded_dropped = fallback.skipped;
     (void)selection.offer(std::move(fallback));

@@ -87,7 +87,8 @@ struct Choice {
            static_cast<std::uint32_t>(index);
   }
 
-  /// Human/wire form, e.g. "deliver 0 2 1"; decoded by mc_spec_codec.
+  /// Human form, e.g. "deliver 0 2 1" (the same text as an mc spec's
+  /// choice line).
   [[nodiscard]] std::string describe() const {
     std::string out(to_string(kind));
     out += " " + std::to_string(site) + " " + std::to_string(peer) + " " +

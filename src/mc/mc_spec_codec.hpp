@@ -4,8 +4,8 @@
 // The first frame of an mc capture is this spec; the replay engine
 // (capture/replay_engine.cpp) recognises the "mc-spec" header keyword and
 // re-drives the identical schedule through `run_mc_schedule`, which is a
-// pure function of (config, schedule). Line-based "key value" text under
-// a versioned header, like the chaos spec codec:
+// pure function of (config, schedule). The encoding is the shared spec
+// text (serialize/spec_text.hpp) under an "mc-spec 1" header:
 //
 //   mc-spec 1
 //   sites 3

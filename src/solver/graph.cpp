@@ -145,13 +145,14 @@ SolverGraph graph_from_relations(const Relations& relations,
   graph.overlap_bits = std::move(overlap);
   // The rescue move walks overlap adjacency lists, so materialise them from
   // the bit rows as well (cheap: this path only runs under
-  // dense_graph_limit).
+  // dense_graph_limit). Without bit rows the lists stay empty.
   graph.overlap_lists.resize(n);
   for (std::size_t a = 0; a < n; ++a) {
     relations.raw_successors(ActionId(a)).for_each([&](std::size_t b) {
       graph.succs[a].push_back(ActionId(b));
       graph.preds[b].push_back(ActionId(a));
     });
+    if (graph.overlap_bits.empty()) continue;
     graph.overlap_bits[a].for_each([&](std::size_t b) {
       graph.overlap_lists[a].push_back(ActionId(b));
     });

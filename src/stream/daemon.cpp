@@ -31,7 +31,7 @@ double LatencyHistogram::quantile_ms(double q) const {
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
     seen += buckets_[b];
     if (seen >= want && buckets_[b] > 0) {
-      // Geometric midpoint of bucket [2^b, 2^(b+1)).
+      // Arithmetic midpoint of bucket [2^b, 2^(b+1)), not interpolated.
       const double lo = std::exp2(static_cast<double>(b));
       return lo * 1.5 / 1e6;
     }

@@ -63,8 +63,10 @@ struct StreamOptions {
 };
 
 /// Commit-latency distribution: log2-bucketed nanoseconds from submit (or
-/// ingest) to commit. Quantiles interpolate geometrically within a bucket —
-/// coarse, but allocation-free and O(1) per sample at ingest rates.
+/// ingest) to commit. A quantile is reported as the arithmetic midpoint
+/// 1.5·2^b of the bucket [2^b, 2^(b+1)) it falls in, with no interpolation:
+/// up to 50% above the true value (25% below) — coarse, but
+/// allocation-free and O(1) per sample at ingest rates.
 class LatencyHistogram {
  public:
   void record(std::uint64_t ns) {

@@ -6,9 +6,9 @@
 // budget is forced to zero — wall-clock degradation cannot be replayed),
 // so the capture replay engine re-drives the identical daemon run and
 // compares frame by frame, exactly as it does for chaos captures. The
-// encoding mirrors chaos_spec_codec: line-based "key value" text under a
-// versioned "stream-spec 1" header — the header keyword is also how
-// `replay_capture` tells the two capture kinds apart.
+// encoding is the shared spec text (serialize/spec_text.hpp) under a
+// "stream-spec 1" header — the header keyword is also how
+// `replay_capture` tells the capture kinds apart.
 #pragma once
 
 #include <cstdint>

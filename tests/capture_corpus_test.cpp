@@ -13,7 +13,11 @@
 #include <string>
 #include <vector>
 
+#include "capture/chaos_spec_codec.hpp"
 #include "capture/replay_engine.hpp"
+#include "capture/wire_log_reader.hpp"
+#include "mc/mc_spec_codec.hpp"
+#include "stream/stream_spec_codec.hpp"
 
 namespace icecube {
 namespace {
@@ -49,6 +53,42 @@ TEST(CaptureCorpus, EveryCaptureReplaysBitExact) {
     EXPECT_TRUE(replay.crc_match) << file;
     EXPECT_GT(replay.frames_compared, 0u) << file;
   }
+}
+
+// Replay exercises only the spec decoders; re-encoding each corpus spec
+// frame byte for byte pins the encoders (field order, number formatting)
+// as well.
+TEST(CaptureCorpus, EverySpecFrameReencodesByteIdentically) {
+  std::size_t kinds_seen[3] = {0, 0, 0};
+  for (const std::string& file : corpus_files()) {
+    const CaptureFile capture = read_capture_file(file);
+    ASSERT_TRUE(capture.ok()) << file << ": " << capture.error.message();
+    ASSERT_FALSE(capture.records.empty()) << file;
+    ASSERT_EQ(capture.records.front().kind, CaptureRecordKind::kSpec) << file;
+    const std::string& spec = capture.records.front().payload;
+    std::string again;
+    if (spec.rfind("stream-spec", 0) == 0) {
+      const StreamSpecDecode decoded = decode_stream_spec(spec);
+      ASSERT_TRUE(decoded.ok()) << file << ": " << decoded.error.message();
+      again = encode_stream_spec(decoded.spec);
+      ++kinds_seen[1];
+    } else if (spec.rfind("mc-spec", 0) == 0) {
+      const mc::McSpecDecode decoded = mc::decode_mc_spec(spec);
+      ASSERT_TRUE(decoded.ok()) << file << ": " << decoded.error.message();
+      again = mc::encode_mc_spec(decoded.config, decoded.schedule);
+      ++kinds_seen[2];
+    } else {
+      const ChaosSpecDecode decoded = decode_chaos_spec(spec);
+      ASSERT_TRUE(decoded.ok()) << file << ": " << decoded.error.message();
+      again = encode_chaos_spec(decoded.spec);
+      ++kinds_seen[0];
+    }
+    EXPECT_EQ(again, spec) << file;
+  }
+  // The corpus holds every capture kind.
+  EXPECT_GT(kinds_seen[0], 0u);
+  EXPECT_GT(kinds_seen[1], 0u);
+  EXPECT_GT(kinds_seen[2], 0u);
 }
 
 }  // namespace

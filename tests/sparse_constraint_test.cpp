@@ -18,6 +18,7 @@
 #include "core/constraint_builder.hpp"
 #include "core/log.hpp"
 #include "core/universe.hpp"
+#include "dense_constraints.hpp"
 #include "solver/graph.hpp"
 #include "test_helpers.hpp"
 #include "util/thread_pool.hpp"
@@ -27,6 +28,7 @@ namespace icecube {
 namespace {
 
 using testing::ScriptedObject;
+using testing::build_constraints_dense;
 using testing::make_log;
 
 void expect_same_matrix(const ConstraintMatrix& want,

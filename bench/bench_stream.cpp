@@ -32,19 +32,17 @@
 
 #include "bench_common.hpp"
 #include "stream/daemon.hpp"
-#include "util/rng.hpp"
+#include "stream/stream_spec_codec.hpp"
 #include "workload/generators.hpp"
 
 using namespace icecube;
 
 namespace {
 
-enum class Arrival { kFlatten, kShuffled };
-
 struct Row {
   const char* label;
   int tasks_per_replica;
-  Arrival arrival;
+  StreamArrival arrival;
   SolverKind backend;
   bool gate_all_fast;  ///< require 100% fast appends, zero violations
 };
@@ -59,31 +57,14 @@ struct RowNumbers {
   SearchStats stats;
 };
 
-/// The tool's arrival materialisation, reduced to the two orders the bench
-/// sweeps: submit everything up front so the timed loop measures the ring
-/// and the daemon, not the workload generator.
+/// Submit everything up front, in the library's arrival order (the
+/// shuffled rows draw from seed 7), so the timed loop measures the ring and
+/// the daemon, not the workload generator.
 std::vector<std::pair<LogId, ActionPtr>> materialize(
-    const workload::Generated& gen, Arrival arrival) {
-  std::vector<std::size_t> next(gen.logs.size(), 0);
-  std::size_t total = 0;
-  for (const Log& log : gen.logs) total += log.size();
+    const workload::Generated& gen, StreamArrival arrival) {
   std::vector<std::pair<LogId, ActionPtr>> arrivals;
-  arrivals.reserve(total);
-  Rng rng(7);
-  for (std::size_t taken = 0; taken < total; ++taken) {
-    std::size_t pick_log = 0;
-    if (arrival == Arrival::kFlatten) {
-      while (next[pick_log] >= gen.logs[pick_log].size()) ++pick_log;
-    } else {
-      std::uint64_t pick = rng.below(total - taken);
-      for (pick_log = 0;; ++pick_log) {
-        const std::size_t rem = gen.logs[pick_log].size() - next[pick_log];
-        if (pick < rem) break;
-        pick -= rem;
-      }
-    }
-    arrivals.emplace_back(LogId(static_cast<std::uint32_t>(pick_log)),
-                          gen.logs[pick_log].ptr(next[pick_log]++));
+  for (const auto& [l, p] : arrival_order(gen.logs, arrival, 7)) {
+    arrivals.emplace_back(LogId(l), gen.logs[l].ptr(p));
   }
   return arrivals;
 }
@@ -140,18 +121,18 @@ int main(int argc, char** argv) {
   }
 
   const Row rows[] = {
-      {"stream/greedy/flatten", 10'000, Arrival::kFlatten, SolverKind::kGreedy,
-       true},
-      {"stream/greedy/flatten", 100'000, Arrival::kFlatten,
+      {"stream/greedy/flatten", 10'000, StreamArrival::kFlatten,
        SolverKind::kGreedy, true},
-      {"stream/greedy/flatten", 333'333, Arrival::kFlatten,
+      {"stream/greedy/flatten", 100'000, StreamArrival::kFlatten,
        SolverKind::kGreedy, true},
-      {"stream/greedy/shuffled", 10'000, Arrival::kShuffled,
+      {"stream/greedy/flatten", 333'333, StreamArrival::kFlatten,
+       SolverKind::kGreedy, true},
+      {"stream/greedy/shuffled", 10'000, StreamArrival::kShuffled,
        SolverKind::kGreedy, false},
       // Streamed local search re-solves every dirty component each epoch —
       // orders of magnitude more work than the greedy fast path by design —
       // so its row stays small; it is here to show the cost, not to race.
-      {"stream/ls/flatten", 2'000, Arrival::kFlatten,
+      {"stream/ls/flatten", 2'000, StreamArrival::kFlatten,
        SolverKind::kLocalSearch, false},
   };
 

@@ -6,9 +6,9 @@
 #include <string>
 #include <utility>
 
-#include "core/constraint_builder.hpp"
 #include "core/cycles.hpp"
 #include "core/relations.hpp"
+#include "solver/graph.hpp"
 
 namespace icecube::analysis {
 
@@ -87,18 +87,15 @@ struct GraphLinter {
 
   void lint(const Universe& universe, const std::vector<ActionRecord>& records,
             const std::vector<Universe>& states) {
-    // Build the matrix through the real engine path, inheriting its work
+    // Build the relation through the real engine path, inheriting its work
     // counters into the analysis stats.
     ConstraintBuildStats build_stats;
-    ConstraintBuildOptions build_options;
-    build_options.stats = &build_stats;
-    const ConstraintMatrix matrix =
-        build_constraints(universe, records, build_options);
+    const SolverGraph graph = build_solver_graph(universe, records, &build_stats);
     report.stats.pairs_checked += build_stats.pairs_evaluated;
     report.stats.order_calls += build_stats.order_calls;
     report.stats.states_sampled += states.size();
 
-    const Relations relations = Relations::from_constraints(matrix);
+    const Relations relations = Relations::from_graph(graph);
     const std::size_t n = records.size();
 
     // --- D_CYCLE: one finding per SCC, minimal witness ------------------
@@ -185,17 +182,10 @@ struct GraphLinter {
     }
 
     // --- MAYBE_DEGENERATE: a graph with no static information -----------
-    std::size_t evaluated = 0;
-    std::size_t maybes = 0;
-    for (std::size_t a = 0; a < n; ++a) {
-      for (std::size_t b = 0; b < n; ++b) {
-        if (a == b) continue;
-        ++evaluated;
-        if (matrix.at(ActionId(a), ActionId(b)) == Constraint::kMaybe) {
-          ++maybes;
-        }
-      }
-    }
+    const std::size_t evaluated = n * (n - 1);
+    const auto maybes = static_cast<std::size_t>(std::count_if(
+        graph.maybe.begin(), graph.maybe.end(),
+        [](const auto& pair) { return pair.first != pair.second; }));
     if (evaluated >= kMinDegenerateEvidence && maybes == evaluated) {
       emit(Rule::kMaybeDegenerate,
            "every evaluated pair is 'maybe' (" + std::to_string(evaluated) +

@@ -25,17 +25,16 @@ std::string explain_conflicts(const Reconciler& reconciler,
     return os.str();
   }
 
-  const ConstraintMatrix& matrix = reconciler.constraints();
+  const SolverGraph& graph = reconciler.solver_graph();
   for (ActionId cut : outcome.cutset) {
     os << action_label(reconciler, cut)
        << " was excluded by a static conflict with:";
     bool any = false;
-    for (std::size_t other = 0; other < matrix.size(); ++other) {
-      if (other == cut.index()) continue;
-      // A mutual-unsafe pair (or unsafe cycle edge) with the cut action.
-      if (matrix.at(cut, ActionId(other)) == Constraint::kUnsafe &&
-          matrix.at(ActionId(other), cut) == Constraint::kUnsafe) {
-        os << "\n    " << action_label(reconciler, ActionId(other))
+    for (ActionId other : graph.succs[cut.index()]) {
+      if (other == cut) continue;
+      // A mutual-unsafe pair with the cut action: D edges both ways.
+      if (graph.has_edge(other, cut)) {
+        os << "\n    " << action_label(reconciler, other)
            << " (mutually unsafe)";
         any = true;
       }

@@ -7,8 +7,8 @@
 //
 // This module turns an outcome into a human-readable account of every
 // action that did NOT make it into the schedule:
-//   - cutset exclusions name the static conflict partners (the unsafe-pair
-//     cycle members from the constraint matrix);
+//   - cutset exclusions name the static conflict partners (the mutually
+//     unsafe pairs of the stored constraint graph);
 //   - dropped actions name the dynamic failure kind and the schedule
 //     position where they gave up (collected by attaching the reporter as
 //     the reconciliation policy, or wrapping an existing one).
@@ -85,7 +85,7 @@ class ConflictReporter : public Policy {
 };
 
 /// Renders an explanation of `outcome`'s exclusions. `reconciler` supplies
-/// provenance and the constraint matrix; `reporter` (optional) supplies
+/// provenance and the constraint graph; `reporter` (optional) supplies
 /// dynamic-failure notes for dropped actions.
 [[nodiscard]] std::string explain_conflicts(
     const Reconciler& reconciler, const Outcome& outcome,

@@ -60,29 +60,4 @@ std::string to_dot(const std::vector<ActionRecord>& records,
   return os.str();
 }
 
-std::string to_dot(const std::vector<ActionRecord>& records,
-                   const ConstraintMatrix& matrix) {
-  std::ostringstream os;
-  os << "digraph icecube_constraints {\n"
-     << "  rankdir=LR;\n  node [shape=box, fontsize=10];\n";
-  emit_nodes(os, records, Cutset{});
-  for (std::size_t a = 0; a < records.size(); ++a) {
-    for (std::size_t b = 0; b < records.size(); ++b) {
-      if (a == b) continue;
-      switch (matrix.at(ActionId(a), ActionId(b))) {
-        case Constraint::kSafe:
-          os << "  a" << a << " -> a" << b << " [color=green];\n";
-          break;
-        case Constraint::kUnsafe:
-          os << "  a" << a << " -> a" << b << " [color=red];\n";
-          break;
-        case Constraint::kMaybe:
-          break;  // no static information: omitted
-      }
-    }
-  }
-  os << "}\n";
-  return os.str();
-}
-
 }  // namespace icecube

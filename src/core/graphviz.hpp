@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "core/constraint_builder.hpp"
 #include "core/cutset.hpp"
 #include "core/log.hpp"
 #include "core/relations.hpp"
@@ -24,10 +23,5 @@ namespace icecube {
 [[nodiscard]] std::string to_dot(const std::vector<ActionRecord>& records,
                                  const Relations& relations,
                                  const Cutset& cutset = {});
-
-/// Renders the raw constraint matrix: red edges for unsafe pairs, green for
-/// safe, maybes omitted (they carry no static information).
-[[nodiscard]] std::string to_dot(const std::vector<ActionRecord>& records,
-                                 const ConstraintMatrix& matrix);
 
 }  // namespace icecube

@@ -55,9 +55,19 @@ ActionId IncrementalConstraintGraph::add_action(ActionPtr action, LogId log,
   // later shared objects land on the pair's pool slot instead of forcing a
   // per-direction quadratic re-scan of both target lists. The new action's
   // target list — a virtual call returning a fresh vector — is extracted
-  // exactly once per arrival.
+  // exactly once per arrival, and each distinct target is probed once.
   pair_others_.clear();
-  const std::vector<ObjectId> targets = rb.action->targets();
+  std::vector<ObjectId> targets = rb.action->targets();
+  auto distinct_end = targets.begin();
+  for (auto it = targets.begin(); it != targets.end(); ++it) {
+    if (std::find(targets.begin(), distinct_end, *it) == distinct_end) {
+      *distinct_end++ = *it;
+    }
+  }
+  // A target listed twice is shared with the action itself: a self-pair
+  // over all its distinct targets, as the batch build forms it.
+  const bool self_pair = distinct_end != targets.end();
+  targets.erase(distinct_end, targets.end());
   for (ObjectId t : targets) {
     assert(t.index() < by_target_.size() &&
            "action targets an object unknown to the universe");
@@ -76,38 +86,21 @@ ActionId IncrementalConstraintGraph::add_action(ActionPtr action, LogId log,
     }
     by_target_[t.index()].push_back(ActionId(id));
   }
+  if (self_pair) {
+    const std::size_t slot = pair_others_.size();
+    if (slot == pair_targets_pool_.size()) pair_targets_pool_.emplace_back();
+    pair_targets_pool_[slot] = targets;
+    pair_others_.push_back(ActionId(id));
+  }
 
-  // Phase 2: evaluate each pair over its precomputed shared set, with
-  // exactly the batch builder's direction rules — a same-log pair is safe
-  // in its recorded direction, so only log-reversing directions run.
+  // Phase 2: evaluate each pair over its precomputed shared set through the
+  // batch builder's pair kernel. `other` ≤ `id` (equal only for the
+  // self-pair of an action listing a target twice), matching the builder's
+  // (lo, hi) pair orientation.
   for (std::size_t k = 0; k < pair_others_.size(); ++k) {
     const ActionId other = pair_others_[k];
-    const std::vector<ObjectId>& shared = pair_targets_pool_[k];
-    const ActionRecord& ra = records_[other.index()];
-    // `other` < `id`, matching the builder's (lo, hi) pair orientation.
-    graph_.overlap_lists[other.index()].push_back(ActionId(id));
-    graph_.overlap_lists[id].push_back(other);
-    const bool a_first = ra.before_in_log(rb);
-    const bool b_first = rb.before_in_log(ra);
-    if (!a_first) {
-      ++stats_.pairs_evaluated;
-      if (evaluate_constraint_over(*universe_, ra, rb, shared,
-                                   stats_.order_calls) ==
-          Constraint::kUnsafe) {
-        graph_.succs[id].push_back(other);
-        graph_.preds[other.index()].push_back(ActionId(id));
-      }
-    }
-    if (!b_first) {
-      ++stats_.pairs_evaluated;
-      if (evaluate_constraint_over(*universe_, rb, ra, shared,
-                                   stats_.order_calls) ==
-          Constraint::kUnsafe) {
-        graph_.succs[other.index()].push_back(ActionId(id));
-        graph_.preds[id].push_back(other);
-      }
-    }
-    ++stats_.target_set_builds;
+    graph_.add_pair(*universe_, records_, other, ActionId(id),
+                    pair_targets_pool_[k], stats_);
     unite(id, other.value());
   }
 
@@ -168,11 +161,9 @@ IncrementalReconciler::IncrementalReconciler(Universe initial,
                              : Universe::CopyMode::kCopyOnWrite);
   deadline_ = Deadline::after_seconds(options_.limits.max_seconds);
   records_ = flatten(logs_);
-  matrix_ = build_constraints(initial_, records_);
-  relations_ = Relations::from_constraints(matrix_);
-  if (options_.memoize_failures) {
-    target_overlap_ = build_target_overlap(records_);
-  }
+  const SolverGraph graph = build_solver_graph(initial_, records_);
+  relations_ = Relations::from_graph(graph);
+  if (options_.memoize_failures) target_overlap_ = overlap_bitsets(graph);
 
   CutsetAnalysis cuts =
       find_proper_cutsets(relations_, options_.max_cycles, options_.max_cutsets);

@@ -14,7 +14,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/constraint_builder.hpp"
 #include "core/cutset.hpp"
 #include "core/log.hpp"
 #include "core/options.hpp"
@@ -30,13 +29,13 @@
 
 namespace icecube {
 
-/// Streaming-side constraint maintenance (DESIGN.md §15): the sparse
-/// target-inverted constraint graph of `build_solver_graph`, extended one
-/// action at a time. Each arrival evaluates only its pairs against
-/// already-known actions sharing a target — amortised O(overlap) per
-/// action, never touching the Θ(n²) matrix — and the resulting adjacency
-/// lists are element-for-element identical to a batch build over the same
-/// record sequence.
+/// Streaming-side constraint maintenance (DESIGN.md §15): the stored
+/// constraint graph of `build_solver_graph`, extended one action at a time
+/// through the same pair kernel (`SolverGraph::add_pair`). Each arrival
+/// evaluates only its pairs against already-known actions sharing a target
+/// — amortised O(overlap) per action — and the resulting adjacency lists
+/// are element-for-element identical to a batch build over the same record
+/// sequence (the `maybe` list holds the same pairs, in arrival order).
 ///
 /// Alongside the graph it maintains the conflict-component partition
 /// (union–find, merged small-into-large) and a dirty set: the components
@@ -168,10 +167,9 @@ class IncrementalReconciler {
   std::unique_ptr<Policy> default_policy_;
 
   std::vector<ActionRecord> records_;
-  ConstraintMatrix matrix_;
   Relations relations_;
-  /// Shared §6 overlap index (see build_target_overlap); built once, handed
-  /// to every cutset's simulator. Empty when memoization is off.
+  /// Shared §6 overlap index (see overlap_bitsets); built once, handed to
+  /// every cutset's simulator. Empty when memoization is off.
   std::vector<Bitset> target_overlap_;
 
   std::vector<Cutset> cutsets_;

@@ -70,11 +70,10 @@ struct SearchStats {
   std::uint64_t moves_proposed = 0;
   std::uint64_t moves_accepted = 0;
 
-  /// Static-constraint construction work, copied from the builder's
-  /// ConstraintBuildStats: ordered pair evaluations and SharedObject::order
-  /// calls. The sparse builder's savings over the dense all-pairs scan show
-  /// up here. The streaming daemon reuses `constraint_pairs_evaluated` for
-  /// its incremental graph extension (new-vs-existing pairs only).
+  /// Static-constraint construction work, copied from the graph build's
+  /// ConstraintBuildStats: pair evaluations (as defined there) and
+  /// SharedObject::order calls. The streaming daemon fills them from its
+  /// incremental graph.
   std::uint64_t constraint_pairs_evaluated = 0;
   std::uint64_t constraint_order_calls = 0;
 

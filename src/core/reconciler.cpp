@@ -29,11 +29,10 @@ Reconciler::Reconciler(Universe initial, std::vector<Log> logs,
   records_ = flatten(logs_);
 
   // Backend resolution (DESIGN.md §13): DFS (and auto, while the problem is
-  // small enough) runs on the dense matrix/closure path; the greedy and
-  // local-search backends always run on the sparse adjacency path — the
-  // dense structures are Θ(n²) and would wall off exactly the log sizes
-  // those backends exist for. Auto on an oversized problem degenerates to
-  // pure local search.
+  // small enough) runs on the dense closure path; the greedy and
+  // local-search backends run on the graph alone — the dense structures
+  // are Θ(n²) and would wall off exactly the log sizes those backends exist
+  // for. Auto on an oversized problem degenerates to pure local search.
   resolved_backend_ = options_.backend;
   if (resolved_backend_ == SolverKind::kAuto &&
       records_.size() > options_.dense_graph_limit) {
@@ -41,15 +40,10 @@ Reconciler::Reconciler(Universe initial, std::vector<Log> logs,
   }
   sparse_ = resolved_backend_ == SolverKind::kGreedy ||
             resolved_backend_ == SolverKind::kLocalSearch;
-  if (sparse_) {
-    graph_ = build_solver_graph(initial_, records_, &build_stats_);
-  } else {
-    matrix_ =
-        build_constraints(initial_, records_, {pool_.get(), &build_stats_});
-    relations_ = Relations::from_constraints(matrix_);
-    if (options_.memoize_failures) {
-      target_overlap_ = build_target_overlap(records_);
-    }
+  graph_ = build_solver_graph(initial_, records_, &build_stats_);
+  if (!sparse_) {
+    relations_ = Relations::from_graph(graph_);
+    if (options_.memoize_failures) target_overlap_ = overlap_bitsets(graph_);
   }
 }
 
@@ -69,11 +63,11 @@ ReconcileResult Reconciler::run() {
   ctx.deadline = &deadline;
   ctx.clock = &clock;
   ctx.pool = pool_.get();
+  ctx.graph = &graph_;
   if (sparse_) {
     // One implicit sub-problem; dependence cycles are handled inside the
     // engine (cycle members are frozen out), so no cutset analysis runs.
     cutsets.push_back(Cutset{});
-    ctx.graph = &graph_;
   } else {
     CutsetAnalysis cuts = find_proper_cutsets(relations_, options_.max_cycles,
                                               options_.max_cutsets);

@@ -64,14 +64,13 @@ class Reconciler {
   [[nodiscard]] ReconcileResult run();
 
   /// Introspection for tests, benches and demos — valid after construction.
-  /// `constraints()`/`relations()` are populated on the dense path only
-  /// (backend dfs, or auto within `dense_graph_limit`); the greedy and
-  /// local-search backends build `solver_graph()` instead and leave the
-  /// dense structures empty.
+  /// `solver_graph()` is the stored constraint relation on every path;
+  /// `relations()` is derived from it on the dense path only (backend dfs,
+  /// or auto within `dense_graph_limit`) and left empty by the greedy and
+  /// local-search backends.
   [[nodiscard]] const std::vector<ActionRecord>& records() const {
     return records_;
   }
-  [[nodiscard]] const ConstraintMatrix& constraints() const { return matrix_; }
   [[nodiscard]] const Relations& relations() const { return relations_; }
   [[nodiscard]] const SolverGraph& solver_graph() const { return graph_; }
   /// The backend the options resolved to (auto on an oversized problem
@@ -97,11 +96,10 @@ class Reconciler {
   std::unique_ptr<Policy> default_policy_;
 
   std::vector<ActionRecord> records_;
-  ConstraintMatrix matrix_;
   ConstraintBuildStats build_stats_;
-  Relations relations_;
-  /// Sparse adjacency graph (greedy/local-search path only).
+  /// The stored constraint relation; `relations_` is derived from it.
   SolverGraph graph_;
+  Relations relations_;
   SolverKind resolved_backend_ = SolverKind::kDfs;
   bool sparse_ = false;
   /// Shared target→actions overlap index for the §6 causal keys, built once
@@ -109,8 +107,7 @@ class Reconciler {
   /// memoization is off).
   std::vector<Bitset> target_overlap_;
   /// Worker pool behind ReconcilerOptions::threads — created once (threads
-  /// != 1), shared by the constraint build and every run(). Null means
-  /// fully sequential.
+  /// != 1), shared by every run(). Null means fully sequential.
   std::unique_ptr<ThreadPool> pool_;
 };
 

@@ -1,5 +1,7 @@
 #include "core/relations.hpp"
 
+#include "solver/graph.hpp"
+
 namespace icecube {
 
 Relations::Relations(std::size_t n)
@@ -10,24 +12,28 @@ Relations::Relations(std::size_t n)
       indep_(n, Bitset(n)),
       indep_pred_(n, Bitset(n)) {}
 
-Relations Relations::from_constraints(const ConstraintMatrix& matrix) {
-  const std::size_t n = matrix.size();
+Relations Relations::from_graph(const SolverGraph& graph) {
+  const std::size_t n = graph.n;
   Relations rel(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      switch (matrix.at(ActionId(i), ActionId(j))) {
-        case Constraint::kSafe:
-          rel.add_independence(ActionId(i), ActionId(j));
-          break;
-        case Constraint::kUnsafe:
-          // "a before b disallowed" ⇒ b must precede a.
-          rel.add_dependence(ActionId(j), ActionId(i));
-          break;
-        case Constraint::kMaybe:
-          break;
-      }
+  // Every direction between distinct actions is safe — hence independent —
+  // unless the graph stored it as unsafe or maybe.
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b < n; ++b) {
+      if (a != b) rel.indep_[a].set(b);
     }
+  }
+  for (std::size_t a = 0; a < n; ++a) {
+    for (ActionId b : graph.succs[a]) {
+      if (b.index() == a) continue;  // a self-pair relates nothing
+      // constraint(b, a) = unsafe ⇒ a must precede b.
+      rel.add_dependence(ActionId(a), b);
+      rel.indep_[b.index()].reset(a);
+    }
+  }
+  for (const auto& [a, b] : graph.maybe) rel.indep_[a.index()].reset(b.index());
+  for (std::size_t a = 0; a < n; ++a) {
+    rel.indep_[a].for_each(
+        [&rel, a](std::size_t b) { rel.indep_pred_[b].set(a); });
   }
   rel.close();
   return rel;

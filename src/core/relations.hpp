@@ -1,6 +1,6 @@
 // The dependence (D) and independence (I) relations (§3.1).
 //
-// The constraint matrix maps onto two relations consumed by the scheduler:
+// The constraint relation maps onto two relations consumed by the scheduler:
 //
 //   constraint(a,b) = safe   ⇒  a I b   (a immediately followed by b is
 //                                        known/likely failure-free)
@@ -17,11 +17,12 @@
 #include <cstddef>
 #include <vector>
 
-#include "core/constraint_builder.hpp"
 #include "util/bitset.hpp"
 #include "util/ids.hpp"
 
 namespace icecube {
+
+struct SolverGraph;
 
 /// Dependence/independence relations over a dense action-id space.
 class Relations {
@@ -29,8 +30,10 @@ class Relations {
   Relations() = default;
   explicit Relations(std::size_t n);
 
-  /// Derives D and I from a constraint matrix per the table above.
-  static Relations from_constraints(const ConstraintMatrix& matrix);
+  /// Derives D and I from the stored constraint relation per the table
+  /// above: for a ≠ b, `a I b` unless the graph has the D edge b → a or
+  /// lists (a, b) as `maybe`; every raw edge a → b with a ≠ b is `a D b`.
+  static Relations from_graph(const SolverGraph& graph);
 
   [[nodiscard]] std::size_t size() const { return n_; }
 

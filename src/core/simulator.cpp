@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "core/constraint_builder.hpp"
 
 namespace icecube {
 
@@ -53,12 +52,8 @@ std::uint64_t Simulator::causal_key(ActionId action) const {
 
 void Simulator::start(const Cutset& cutset, const Universe& initial) {
   assert(records_.size() == relations_.size());
-  if (options_.memoize_failures && overlap_ == nullptr) {
-    // No shared index was handed in: build our own once (reused across
-    // start() calls — the overlap relation depends only on the action set).
-    owned_overlap_ = build_target_overlap(records_);
-    overlap_ = &owned_overlap_;
-  }
+  assert((!options_.memoize_failures || overlap_ != nullptr) &&
+         "failure memoization needs the shared overlap index");
   clone_mark_ = Universe::thread_counters();
   known_failures_.clear();  // keys are relative to this cutset's searches
   const Bitset excluded = cutset_bits(cutset, records_.size());

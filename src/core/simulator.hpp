@@ -45,10 +45,10 @@ class Simulator {
   /// can share one instance and poll it without synchronisation.
   ///
   /// `target_overlap` (per action: the other actions sharing a target, as
-  /// built by `build_target_overlap`) feeds the §6 causal keys; the
-  /// reconcilers build it once over the full action set and share it across
-  /// every cutset's simulator. Null makes the simulator build its own on
-  /// first use (only if `memoize_failures` is on).
+  /// derived by `overlap_bitsets`) feeds the §6 causal keys; the reconcilers
+  /// build it once over the full action set and share it across every
+  /// cutset's simulator. Required when `memoize_failures` is on, unused
+  /// otherwise.
   Simulator(const std::vector<ActionRecord>& records,
             const Relations& relations, const ReconcilerOptions& options,
             Policy& policy, Selection& selection, SearchStats& stats,
@@ -142,7 +142,6 @@ class Simulator {
 
   // Failure memoization (ReconcilerOptions::memoize_failures).
   const std::vector<Bitset>* overlap_;  // per action: actions sharing a target
-  std::vector<Bitset> owned_overlap_;   // backing store when none was shared
   std::unordered_map<std::uint64_t, FailureKind> known_failures_;
 };
 

@@ -54,11 +54,12 @@ struct SolveContext {
   const Stopwatch* clock = nullptr;
 
   /// Dense relations + proper cutsets: required by kDfs and kAuto, null on
-  /// the sparse path.
+  /// the sparse path (which is how the greedy and local-search backends
+  /// tell the two paths apart).
   const Relations* relations = nullptr;
   const std::vector<Cutset>* cutsets = nullptr;
-  /// Sparse adjacency graph: required by kGreedy/kLocalSearch on the sparse
-  /// path; kAuto derives one from `relations` on demand.
+  /// The stored constraint graph: required by kGreedy, kLocalSearch and
+  /// kAuto.
   const SolverGraph* graph = nullptr;
 
   /// Worker pool for the DFS parallel driver (null = sequential). The

@@ -19,15 +19,46 @@ bool SolverGraph::has_edge(ActionId a, ActionId b) const {
 }
 
 bool SolverGraph::overlaps(ActionId a, ActionId b) const {
-  if (!overlap_bits.empty()) return overlap_bits[a.index()].test(b.index());
-  if (!overlap_lists.empty()) return sorted_contains(overlap_lists[a.index()], b);
-  return false;
+  return sorted_contains(overlap_lists[a.index()], b);
 }
 
 std::size_t SolverGraph::edge_count() const {
   std::size_t total = 0;
   for (const auto& list : succs) total += list.size();
   return total;
+}
+
+void SolverGraph::add_pair(const Universe& universe,
+                           const std::vector<ActionRecord>& records,
+                           ActionId a, ActionId b,
+                           const std::vector<ObjectId>& shared,
+                           ConstraintBuildStats& stats) {
+  overlap_lists[a.index()].push_back(b);
+  overlap_lists[b.index()].push_back(a);
+  // constraint(x, y): `unsafe` adds the raw D edge y → x, `maybe` is listed,
+  // and a same-log pair is safe in its recorded direction without an
+  // `order()` call (§2.3 rule 2), so only the log-reversing direction runs.
+  const auto direction = [&](ActionId x, ActionId y) {
+    const ActionRecord& rx = records[x.index()];
+    const ActionRecord& ry = records[y.index()];
+    if (rx.before_in_log(ry)) return;
+    ++stats.pairs_evaluated;
+    switch (evaluate_constraint_over(universe, rx, ry, shared,
+                                     stats.order_calls)) {
+      case Constraint::kUnsafe:
+        succs[y.index()].push_back(x);
+        preds[x.index()].push_back(y);
+        break;
+      case Constraint::kMaybe:
+        maybe.emplace_back(x, y);
+        break;
+      case Constraint::kSafe:
+        break;
+    }
+  };
+  direction(a, b);
+  direction(b, a);
+  ++stats.target_set_builds;
 }
 
 SolverGraph build_solver_graph(const Universe& universe,
@@ -76,7 +107,7 @@ SolverGraph build_solver_graph(const Universe& universe,
   // its lower id, in ascending (lower, higher) order. So every list below
   // receives its entries in ascending id order — first the partners below
   // the action, then those above — and needs no sort afterwards.
-  std::uint64_t order_calls = 0;
+  ConstraintBuildStats local;
   std::vector<ActionId> partners;  // scratch: one action's higher partners
   std::vector<ObjectId> shared;    // scratch: one pair's shared targets
   for (std::size_t i = 0; i < n; ++i) {
@@ -98,68 +129,29 @@ SolverGraph build_solver_graph(const Universe& universe,
     std::sort(partners.begin(), partners.end());
     partners.erase(std::unique(partners.begin(), partners.end()),
                    partners.end());
-    const ActionRecord& ra = records[i];
     for (const ActionId b : partners) {
-      const ActionRecord& rb = records[b.index()];
-      graph.overlap_lists[a.index()].push_back(b);
-      graph.overlap_lists[b.index()].push_back(a);
       // One shared-target set serves both directions, built over the lower
-      // id's targets exactly as `build_constraints` builds it, so the two
-      // builders make the same `order()` calls.
+      // id's targets.
       common_targets_into(ta, targets_of(b), shared);
-      // Per the Relations mapping, `constraint(x, y) = unsafe` adds the raw
-      // D edge y → x. A same-log pair is safe in its recorded direction
-      // (§2.3 rule 2), so only the log-reversing direction is evaluated.
-      const bool a_first = ra.before_in_log(rb);
-      const bool b_first = rb.before_in_log(ra);
-      if (!a_first) {
-        if (stats != nullptr) ++stats->pairs_evaluated;
-        if (evaluate_constraint_over(universe, ra, rb, shared, order_calls) ==
-            Constraint::kUnsafe) {
-          graph.succs[b.index()].push_back(a);
-          graph.preds[a.index()].push_back(b);
-        }
-      }
-      if (!b_first) {
-        if (stats != nullptr) ++stats->pairs_evaluated;
-        if (evaluate_constraint_over(universe, rb, ra, shared, order_calls) ==
-            Constraint::kUnsafe) {
-          graph.succs[a.index()].push_back(b);
-          graph.preds[b.index()].push_back(a);
-        }
-      }
-      if (stats != nullptr) ++stats->target_set_builds;
+      graph.add_pair(universe, records, a, b, shared, local);
     }
   }
-  if (stats != nullptr) stats->order_calls += order_calls;
+  if (stats != nullptr) {
+    stats->pairs_evaluated += local.pairs_evaluated;
+    stats->target_set_builds += local.target_set_builds;
+    stats->order_calls += local.order_calls;
+  }
   return graph;
 }
 
-SolverGraph graph_from_relations(const Relations& relations,
-                                 std::vector<Bitset> overlap) {
-  const std::size_t n = relations.size();
-  SolverGraph graph;
-  graph.n = n;
-  graph.preds.resize(n);
-  graph.succs.resize(n);
-  graph.overlap_bits = std::move(overlap);
-  // The rescue move walks overlap adjacency lists, so materialise them from
-  // the bit rows as well (cheap: this path only runs under
-  // dense_graph_limit). Without bit rows the lists stay empty.
-  graph.overlap_lists.resize(n);
-  for (std::size_t a = 0; a < n; ++a) {
-    relations.raw_successors(ActionId(a)).for_each([&](std::size_t b) {
-      graph.succs[a].push_back(ActionId(b));
-      graph.preds[b].push_back(ActionId(a));
-    });
-    if (graph.overlap_bits.empty()) continue;
-    graph.overlap_bits[a].for_each([&](std::size_t b) {
-      graph.overlap_lists[a].push_back(ActionId(b));
-    });
+std::vector<Bitset> overlap_bitsets(const SolverGraph& graph) {
+  std::vector<Bitset> rows(graph.n, Bitset(graph.n));
+  for (std::size_t a = 0; a < graph.n; ++a) {
+    for (ActionId b : graph.overlap_lists[a]) {
+      if (b.index() != a) rows[a].set(b.index());
+    }
   }
-  // for_each yields ascending ids, so succs is sorted; preds receives each
-  // entry in ascending `a` order, which is also sorted.
-  return graph;
+  return rows;
 }
 
 }  // namespace icecube

@@ -1,74 +1,89 @@
-// Sparse constraint graph for the scalable solver backends (DESIGN.md §13).
+// The stored static-constraint relation (DESIGN.md §8, §13).
 //
-// The DFS engine consumes the dense ConstraintMatrix and the Warshall-closed
-// Relations — both Θ(n²) (the closure Θ(n³/64)), which walls off 10k+-action
-// logs long before the search itself does. The greedy and local-search
-// backends only ever ask two questions:
+// IceCube's constraint relation (§2.3) has three values per ordered pair,
+// but almost every pair is `safe`: two actions sharing no target are safe
+// both ways (rule 1), and a same-log pair is safe in its recorded order
+// (rule 2). So the one stored form keeps only the exceptions, per evaluated
+// direction:
 //
-//   * which actions must precede action a (the raw D edges), and
-//   * which actions share a target with a (the conflict neighbourhood),
+//   * `unsafe` as a raw D edge in adjacency lists (constraint(a, b) =
+//     unsafe ⇒ b must precede a), and
+//   * `maybe` in one flat list of (a, b) pairs,
 //
-// so they run against this adjacency-list form instead. Both questions stay
-// answerable without the transitive closure because those backends maintain
-// a *topological* permutation invariant: a permutation respects the closed
-// relation iff it respects every raw edge.
+// plus the target-overlap neighbourhoods. The greedy and local-search
+// backends read the adjacency directly — they keep a *topological*
+// permutation invariant, so respecting every raw edge is respecting the
+// closed relation. The DFS engine derives its dense Relations from the same
+// graph (`Relations::from_graph`), and the §6 overlap bitsets come from
+// `overlap_bitsets`.
 //
-// Two constructions are provided: `build_solver_graph` builds the lists
-// directly from the target-inverted index (never materialising a matrix —
-// the sparse path for large n), and `graph_from_relations` converts an
-// already-built dense Relations (used when the auto backend hands an
-// individual cutset to local search mid-run).
+// Two enumerations fill it, one per input shape, both through the one pair
+// kernel `SolverGraph::add_pair`: `build_solver_graph` walks a flat
+// target→actions index over a whole batch, and
+// `IncrementalConstraintGraph::add_action` (core/incremental.hpp) probes
+// per arrival.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/constraint_builder.hpp"
 #include "core/log.hpp"
-#include "core/relations.hpp"
 #include "core/universe.hpp"
 #include "util/bitset.hpp"
 #include "util/ids.hpp"
 
 namespace icecube {
 
-/// Adjacency-list view of the dependence relation and the target-overlap
-/// neighbourhoods. All lists are sorted by action id.
+/// Adjacency-list form of the constraint relation. All lists are sorted by
+/// action id.
 struct SolverGraph {
   std::size_t n = 0;
   /// preds[b] = every a with a raw D edge a → b ("a must precede b").
   std::vector<std::vector<ActionId>> preds;
   /// succs[a] = every b with a raw D edge a → b.
   std::vector<std::vector<ActionId>> succs;
-
-  /// Target-overlap neighbourhoods: exactly one representation is populated.
-  /// The sparse build fills `overlap_lists`; the Relations conversion reuses
-  /// the dense per-action bitsets (`overlap_bits`) when the caller has them.
+  /// overlap_lists[a] = every action sharing at least one target with `a`.
+  /// An action listing one target twice shares it with itself, so it then
+  /// appears in its own list (twice: once per side of the self-pair).
   std::vector<std::vector<ActionId>> overlap_lists;
-  std::vector<Bitset> overlap_bits;
+  /// Every evaluated direction (a, b) whose constraint came out `maybe`, in
+  /// evaluation order (not sorted). Every direction in neither this list nor
+  /// a D edge b → a is `safe`. Sub-problem graphs (solver/components.hpp)
+  /// leave it empty: their backends never read it.
+  std::vector<std::pair<ActionId, ActionId>> maybe;
 
   [[nodiscard]] bool has_edge(ActionId a, ActionId b) const;
   [[nodiscard]] bool overlaps(ActionId a, ActionId b) const;
   [[nodiscard]] std::size_t edge_count() const;
+
+  /// The pair kernel: records the unordered pair {a, b}, a ≤ b, whose
+  /// common targets are `shared`. Appends the overlap entries, evaluates
+  /// each direction not settled by log order (§2.3 rule 2) over `shared`,
+  /// and stores an `unsafe` outcome as a D edge and a `maybe` one in
+  /// `maybe`. Appending is all it does to the lists; the callers keep them
+  /// sorted. `records` must hold both actions.
+  void add_pair(const Universe& universe,
+                const std::vector<ActionRecord>& records, ActionId a,
+                ActionId b, const std::vector<ObjectId>& shared,
+                ConstraintBuildStats& stats);
 };
 
 /// Builds the graph straight from the target→actions inverted index: only
 /// pairs sharing at least one target are evaluated (disjoint-target pairs
-/// are `safe` in both directions by §2.3 rule 1 and contribute nothing).
-/// Produces exactly the raw D edges `Relations::from_constraints` would
-/// derive from the full matrix, at O(Σ per-target group²) pair evaluations
-/// instead of Θ(n²) cells. Workloads funnelling every action through one
-/// object defeat that bound — their constraint graph genuinely is dense —
-/// so keep single-hot-object inputs on the DFS path sizes.
+/// are `safe` in both directions by §2.3 rule 1 and contribute nothing), at
+/// O(Σ per-target group²) pair evaluations instead of Θ(n²) cells.
+/// Workloads funnelling every action through one object defeat that bound —
+/// their constraint graph genuinely is dense — so keep single-hot-object
+/// inputs on the DFS path sizes. `stats`, when non-null, is added to.
 [[nodiscard]] SolverGraph build_solver_graph(
     const Universe& universe, const std::vector<ActionRecord>& records,
     ConstraintBuildStats* stats = nullptr);
 
-/// Converts an existing dense Relations (raw edges only) plus the §6 overlap
-/// bitsets into the adjacency form. `overlap` may be empty when the caller
-/// only needs the dependence lists (the greedy backend).
-[[nodiscard]] SolverGraph graph_from_relations(const Relations& relations,
-                                               std::vector<Bitset> overlap);
+/// The §6 failure-memoization overlap index: per action, a bitset of the
+/// *other* actions sharing at least one target (the self-pair dropped).
+[[nodiscard]] std::vector<Bitset> overlap_bitsets(const SolverGraph& graph);
 
 }  // namespace icecube

@@ -7,7 +7,6 @@
 #include <queue>
 #include <utility>
 
-#include "core/constraint_builder.hpp"
 #include "solver/components.hpp"
 
 namespace icecube {
@@ -602,9 +601,9 @@ void solve_decomposed(const SolveContext& ctx, Selection& selection,
 }
 
 /// Shared driver for the greedy and local-search backends. The sparse
-/// whole-problem case (one implicit empty cutset over a prebuilt graph)
-/// goes through the component decomposition; the auto path's real cutsets
-/// keep the one-engine-per-cutset loop.
+/// whole-problem case (no dense relations, one implicit empty cutset) goes
+/// through the component decomposition; the auto path's real cutsets keep
+/// the one-engine-per-cutset loop.
 void solve_with_engine(const SolveContext& ctx, Selection& selection,
                        SearchStats& stats, bool allow_moves) {
   const std::vector<ActionRecord>& records = *ctx.records;
@@ -615,19 +614,10 @@ void solve_with_engine(const SolveContext& ctx, Selection& selection,
   const std::vector<Cutset>& cutsets =
       ctx.cutsets != nullptr ? *ctx.cutsets : implicit;
 
-  if (ctx.graph != nullptr && cutsets.size() == 1 &&
+  if (ctx.relations == nullptr && cutsets.size() == 1 &&
       cutsets.front().actions.empty() && n > 0) {
     solve_decomposed(ctx, selection, stats, allow_moves, cutsets.front());
     return;
-  }
-
-  SolverGraph derived;
-  const SolverGraph* graph = ctx.graph;
-  if (graph == nullptr) {
-    // Auto path: the dense relations exist; flip them into adjacency form.
-    derived = graph_from_relations(*ctx.relations,
-                                   build_target_overlap(records));
-    graph = &derived;
   }
 
   std::size_t cut_index = 0;
@@ -639,7 +629,7 @@ void solve_with_engine(const SolveContext& ctx, Selection& selection,
     // correlating the walks.
     ls.seed += 0x9e3779b97f4a7c15ULL * cut_index;
     ++cut_index;
-    LocalSearchEngine engine(records, *graph, *ctx.initial,
+    LocalSearchEngine engine(records, *ctx.graph, *ctx.initial,
                              std::move(excluded), ls);
     if (allow_moves) {
       const std::uint64_t budget =

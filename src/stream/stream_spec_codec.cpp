@@ -47,14 +47,13 @@ StreamSpecDecode decode_stream_spec(const std::string& text) {
   return out;
 }
 
-/// The arrival interleaving as (log, position) pairs, per-log order kept.
-static std::vector<std::pair<std::uint32_t, std::uint32_t>> arrival_order(
-    const StreamSpec& spec, const std::vector<Log>& logs) {
+std::vector<std::pair<std::uint32_t, std::uint32_t>> arrival_order(
+    const std::vector<Log>& logs, StreamArrival arrival, std::uint64_t seed) {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> order;
   std::size_t total = 0;
   for (const Log& log : logs) total += log.size();
   order.reserve(total);
-  switch (spec.arrival) {
+  switch (arrival) {
     case StreamArrival::kFlatten:
       for (std::uint32_t l = 0; l < logs.size(); ++l) {
         for (std::uint32_t p = 0; p < logs[l].size(); ++p) {
@@ -76,7 +75,7 @@ static std::vector<std::pair<std::uint32_t, std::uint32_t>> arrival_order(
       break;
     }
     case StreamArrival::kShuffled: {
-      Rng rng(spec.arrival_seed);
+      Rng rng(seed);
       std::vector<std::uint32_t> next(logs.size(), 0);
       std::size_t remaining = total;
       while (remaining > 0) {
@@ -106,7 +105,7 @@ StreamRunReport run_stream(const StreamSpec& spec, CaptureSink* sink) {
   options.epoch_budget_us = 0;  // wall-clock degradation is not replayable
 
   StreamReconciler core(std::move(gen.initial), options, sink);
-  const auto order = arrival_order(spec, gen.logs);
+  const auto order = arrival_order(gen.logs, spec.arrival, spec.arrival_seed);
   std::uint32_t since_epoch = 0;
   for (const auto& [l, p] : order) {
     core.ingest(LogId(l), gen.logs[l].ptr(p));

@@ -8,12 +8,15 @@
 #include "core/constraint_builder.hpp"
 #include "core/log.hpp"
 #include "core/tag.hpp"
+#include "dense_constraints.hpp"
+#include "solver/graph.hpp"
 #include "test_helpers.hpp"
 
 namespace icecube {
 namespace {
 
 using testing::NopAction;
+using testing::graph_verdict;
 using testing::ScriptedObject;
 
 TEST(Constraint, MostConstrainingIsMax) {
@@ -155,14 +158,14 @@ TEST_F(ConstraintBuilderTest, BuildsFullMatrix) {
 
   const auto records = flatten({l0, l1});
   ASSERT_EQ(records.size(), 3u);
-  const ConstraintMatrix m = build_constraints(universe_, records);
-  EXPECT_EQ(m.size(), 3u);
+  const SolverGraph g = build_solver_graph(universe_, records);
+  EXPECT_EQ(g.n, 3u);
   // In-log forward: safe.
-  EXPECT_EQ(m.at(ActionId(0), ActionId(1)), Constraint::kSafe);
+  EXPECT_EQ(graph_verdict(g, ActionId(0), ActionId(1)), Constraint::kSafe);
   // u before v across logs: unsafe per script.
-  EXPECT_EQ(m.at(ActionId(0), ActionId(2)), Constraint::kUnsafe);
+  EXPECT_EQ(graph_verdict(g, ActionId(0), ActionId(2)), Constraint::kUnsafe);
   // v before v across logs: maybe per script.
-  EXPECT_EQ(m.at(ActionId(1), ActionId(2)), Constraint::kMaybe);
+  EXPECT_EQ(graph_verdict(g, ActionId(1), ActionId(2)), Constraint::kMaybe);
 }
 
 TEST(FlattenTest, PreservesLogOrderAndProvenance) {
@@ -186,17 +189,6 @@ TEST(FlattenTest, PreservesLogOrderAndProvenance) {
   EXPECT_FALSE(records[0].before_in_log(records[2]));
   EXPECT_TRUE(records[0].same_log(records[1]));
   EXPECT_FALSE(records[0].same_log(records[2]));
-}
-
-TEST(RenderMatrixTest, ContainsLabelsAndValues) {
-  ConstraintMatrix m(2);
-  m.set(ActionId(0), ActionId(1), Constraint::kUnsafe);
-  m.set(ActionId(1), ActionId(0), Constraint::kSafe);
-  const std::string rendered = render_matrix(m, {"alpha", "beta"});
-  EXPECT_NE(rendered.find("alpha"), std::string::npos);
-  EXPECT_NE(rendered.find("beta"), std::string::npos);
-  EXPECT_NE(rendered.find("unsafe"), std::string::npos);
-  EXPECT_NE(rendered.find("safe"), std::string::npos);
 }
 
 }  // namespace

@@ -41,17 +41,16 @@ TEST(Graphviz, CutsetMembersAreFilled) {
   EXPECT_NE(dot.find("fillcolor=lightgray"), std::string::npos);
 }
 
-TEST(Graphviz, ConstraintExportColoursEdges) {
+TEST(Graphviz, RelationsExportShowsSafeAsIndependenceAndOmitsMaybe) {
   Universe u;
   const ObjectId c = u.add(std::make_unique<Counter>(0));
   std::vector<Log> logs;
   logs.push_back(make_log("a", {std::make_shared<IncrementAction>(c, 1)}));
   logs.push_back(make_log("b", {std::make_shared<DecrementAction>(c, 1)}));
   Reconciler r(u, logs);
-  const std::string dot = to_dot(r.records(), r.constraints());
-  EXPECT_NE(dot.find("digraph icecube_constraints"), std::string::npos);
-  // inc before dec is safe (green); dec before inc is maybe (omitted).
-  EXPECT_NE(dot.find("a0 -> a1 [color=green];"), std::string::npos);
+  const std::string dot = to_dot(r.records(), r.relations());
+  // inc before dec is safe (an I edge); dec before inc is maybe (omitted).
+  EXPECT_NE(dot.find("a0 -> a1 [style=dashed"), std::string::npos);
   EXPECT_EQ(dot.find("a1 -> a0"), std::string::npos);
 }
 

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -352,6 +353,13 @@ struct MutantCase {
   std::uint64_t seed;
   std::size_t depth;
 };
+
+// Prints the case as its mutant's name, so the parameter gtest reports (and
+// the ctest name derived from it) is the same in every run rather than a
+// byte dump that includes the struct's padding.
+void PrintTo(const MutantCase& c, std::ostream* os) {
+  *os << to_string(c.mutant);
+}
 
 class McMutant : public ::testing::TestWithParam<MutantCase> {};
 

@@ -1,37 +1,53 @@
-// Tests for the D/I relations (§3.1): constraint mapping, transitive
-// closure, restriction under cutsets.
+// Tests for the D/I relations (§3.1): the mapping from the stored
+// constraint graph, transitive closure, restriction under cutsets.
 #include <gtest/gtest.h>
 
 #include "core/relations.hpp"
+#include "solver/graph.hpp"
 
 namespace icecube {
 namespace {
 
+/// A hand-built stored relation over two actions sharing a target: every
+/// direction is safe until a test lists it as maybe or adds a D edge.
+SolverGraph two_action_graph() {
+  SolverGraph g;
+  g.n = 2;
+  g.preds.resize(2);
+  g.succs.resize(2);
+  g.overlap_lists = {{ActionId(1)}, {ActionId(0)}};
+  return g;
+}
+
 TEST(Relations, FromConstraintsMapsSafeToIndependence) {
-  ConstraintMatrix m(2);
-  m.set(ActionId(0), ActionId(1), Constraint::kSafe);
-  m.set(ActionId(1), ActionId(0), Constraint::kMaybe);
-  const Relations rel = Relations::from_constraints(m);
+  // constraint(0, 1) = safe (nothing stored), constraint(1, 0) = maybe.
+  SolverGraph g = two_action_graph();
+  g.maybe.emplace_back(ActionId(1), ActionId(0));
+  const Relations rel = Relations::from_graph(g);
   EXPECT_TRUE(rel.independent(ActionId(0), ActionId(1)));
   EXPECT_FALSE(rel.independent(ActionId(1), ActionId(0)));
+  EXPECT_TRUE(rel.independent_predecessors_of(ActionId(1)).test(0));
   EXPECT_EQ(rel.dependence_edge_count(), 0u);
 }
 
 TEST(Relations, FromConstraintsMapsUnsafeToReversedDependence) {
-  // constraint(a, b) = unsafe ⇒ b must precede a.
-  ConstraintMatrix m(2);
-  m.set(ActionId(0), ActionId(1), Constraint::kUnsafe);
-  m.set(ActionId(1), ActionId(0), Constraint::kMaybe);
-  const Relations rel = Relations::from_constraints(m);
+  // constraint(0, 1) = unsafe is stored as the D edge 1 → 0: b must
+  // precede a.
+  SolverGraph g = two_action_graph();
+  g.succs[1].push_back(ActionId(0));
+  g.preds[0].push_back(ActionId(1));
+  g.maybe.emplace_back(ActionId(1), ActionId(0));
+  const Relations rel = Relations::from_graph(g);
   EXPECT_TRUE(rel.depends(ActionId(1), ActionId(0)));
   EXPECT_FALSE(rel.depends(ActionId(0), ActionId(1)));
+  EXPECT_EQ(rel.independence_pair_count(), 0u);
 }
 
 TEST(Relations, MaybeContributesNothing) {
-  ConstraintMatrix m(2);  // all cells default to safe; set both to maybe
-  m.set(ActionId(0), ActionId(1), Constraint::kMaybe);
-  m.set(ActionId(1), ActionId(0), Constraint::kMaybe);
-  const Relations rel = Relations::from_constraints(m);
+  SolverGraph g = two_action_graph();
+  g.maybe.emplace_back(ActionId(0), ActionId(1));
+  g.maybe.emplace_back(ActionId(1), ActionId(0));
+  const Relations rel = Relations::from_graph(g);
   EXPECT_EQ(rel.dependence_edge_count(), 0u);
   EXPECT_EQ(rel.independence_pair_count(), 0u);
 }

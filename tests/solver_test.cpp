@@ -297,26 +297,6 @@ TEST(SolverGraphTest, EdgesMatchDenseRelationsOnFages) {
   }
 }
 
-TEST(SolverGraphTest, FromRelationsAcceptsEmptyOverlap) {
-  // The overlap bitsets are optional: without them the dependence lists are
-  // the same and every overlap list is empty.
-  const Generated g = small_fages(55);
-  Reconciler dense(g.initial, g.logs, solver_options(SolverKind::kDfs));
-  const SolverGraph with = graph_from_relations(
-      dense.relations(), build_target_overlap(dense.records()));
-  const SolverGraph without = graph_from_relations(dense.relations(), {});
-  ASSERT_EQ(without.n, with.n);
-  EXPECT_EQ(without.preds, with.preds);
-  EXPECT_EQ(without.succs, with.succs);
-  EXPECT_GT(without.edge_count(), 0u);
-  EXPECT_TRUE(without.overlap_bits.empty());
-  ASSERT_EQ(without.overlap_lists.size(), without.n);
-  for (const std::vector<ActionId>& list : without.overlap_lists) {
-    EXPECT_TRUE(list.empty());
-  }
-  EXPECT_FALSE(without.overlaps(ActionId(0), ActionId(1)));
-}
-
 TEST(FagesWorkloadTest, DeterministicAndReplaysInIsolation) {
   const FagesSpec spec;
   const Generated a = workload::fages_workload(spec);

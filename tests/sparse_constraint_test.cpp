@@ -1,13 +1,15 @@
-// Sparse constraint construction vs the dense all-pairs oracle.
+// The stored constraint graph vs the dense all-pairs oracle.
 //
-// `build_constraints` walks a target→actions inverted index and evaluates
-// only pairs that share a target (everything else is safe by §2.3 rule 1),
-// computing each unordered pair's shared-target set once. These tests check
-// it against `build_constraints_dense` — identical matrices, strictly less
-// work — over the library workload generators and randomized scripted
-// universes, sequentially and sharded across a thread pool.
+// `build_solver_graph` walks a target→actions inverted index and evaluates
+// only the directions of pairs that share a target and that log order does
+// not settle (everything else is safe by §2.3 rules 1 and 2), computing each
+// unordered pair's shared-target set once. These tests check it against
+// `build_constraints_dense` over the library workload generators and
+// randomized scripted universes: every cell's verdict, the Relations and
+// §6 overlap rows derived from it, and the work counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -17,33 +19,44 @@
 
 #include "core/constraint_builder.hpp"
 #include "core/log.hpp"
+#include "core/relations.hpp"
 #include "core/universe.hpp"
 #include "dense_constraints.hpp"
 #include "solver/graph.hpp"
 #include "test_helpers.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/generators.hpp"
 
 namespace icecube {
 namespace {
 
+using testing::ConstraintMatrix;
 using testing::ScriptedObject;
 using testing::build_constraints_dense;
 using testing::make_log;
 
-void expect_same_matrix(const ConstraintMatrix& want,
-                        const ConstraintMatrix& got) {
+bool share_target(const ActionRecord& x, const ActionRecord& y) {
+  std::vector<ObjectId> shared;
+  common_targets_into(x.action->targets(), y.action->targets(), shared);
+  return !shared.empty();
+}
+
+/// Every Relations row the DFS engine reads, bit for bit.
+void expect_same_relations(const Relations& want, const Relations& got) {
   ASSERT_EQ(want.size(), got.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
-    for (std::size_t j = 0; j < want.size(); ++j) {
-      EXPECT_EQ(want.at(ActionId(i), ActionId(j)), got.at(ActionId(i), ActionId(j)))
-          << "cell (" << i << ", " << j << ")";
-    }
+    const ActionId a(i);
+    EXPECT_EQ(want.raw_successors(a), got.raw_successors(a)) << "raw D " << i;
+    EXPECT_EQ(want.predecessors(a), got.predecessors(a)) << "closed D " << i;
+    EXPECT_EQ(want.independents_of(a), got.independents_of(a)) << "I " << i;
+    EXPECT_EQ(want.independent_predecessors_of(a),
+              got.independent_predecessors_of(a))
+        << "I-pred " << i;
   }
 }
 
-/// Builds both ways (plus the pool-sharded sparse variant) and checks
-/// equality and the work-counter relations.
+/// Builds the graph and the dense oracle and checks that they agree cell
+/// for cell, that the Relations and overlap rows derived from the graph are
+/// the oracle's, and the work-counter relations.
 void check_equivalence(const Universe& universe,
                        const std::vector<Log>& logs) {
   const std::vector<ActionRecord> records = flatten(logs);
@@ -52,38 +65,46 @@ void check_equivalence(const Universe& universe,
   ConstraintBuildStats dense_stats;
   const ConstraintMatrix dense =
       build_constraints_dense(universe, records, &dense_stats);
+  ConstraintBuildStats graph_stats;
+  const SolverGraph graph =
+      build_solver_graph(universe, records, &graph_stats);
 
-  ConstraintBuildStats sparse_stats;
-  const ConstraintMatrix sparse =
-      build_constraints(universe, records, {nullptr, &sparse_stats});
-  expect_same_matrix(dense, sparse);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i == j) continue;
+      EXPECT_EQ(testing::graph_verdict(graph, ActionId(i), ActionId(j)),
+                dense.at(ActionId(i), ActionId(j)))
+          << "cell (" << i << ", " << j << ")";
+    }
+  }
+  expect_same_relations(testing::relations_from_matrix(dense),
+                        Relations::from_graph(graph));
+  EXPECT_EQ(overlap_bitsets(graph), testing::overlap_dense(records));
 
-  ThreadPool pool(3);
-  ConstraintBuildStats pooled_stats;
-  const ConstraintMatrix pooled =
-      build_constraints(universe, records, {&pool, &pooled_stats});
-  expect_same_matrix(dense, pooled);
-
-  // The dense oracle does all n(n-1) ordered pairs and builds the shared
-  // set for each; the sparse builder touches only sharing pairs, once.
+  // The oracle evaluates all n(n-1) ordered pairs and builds the shared set
+  // for each; the graph evaluates only the directions of sharing pairs that
+  // log order leaves open, and builds each pair's shared set once. An
+  // action listing a target twice also pairs with itself.
+  std::uint64_t open_directions = 0;
+  std::uint64_t sharing_pairs = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i; j < n; ++j) {
+      const std::vector<ObjectId> targets = records[i].action->targets();
+      const bool shares =
+          i != j ? share_target(records[i], records[j])
+                 : std::any_of(targets.begin(), targets.end(), [&](ObjectId t) {
+                     return std::count(targets.begin(), targets.end(), t) > 1;
+                   });
+      if (!shares) continue;
+      ++sharing_pairs;
+      open_directions += records[i].before_in_log(records[j]) ? 0 : 1;
+      open_directions += records[j].before_in_log(records[i]) ? 0 : 1;
+    }
+  }
   EXPECT_EQ(dense_stats.pairs_evaluated, n * (n - 1));
   EXPECT_EQ(dense_stats.target_set_builds, n * (n - 1));
-  EXPECT_LE(sparse_stats.pairs_evaluated, dense_stats.pairs_evaluated);
-  if (n >= 2) {
-    EXPECT_LT(sparse_stats.target_set_builds, dense_stats.target_set_builds);
-  }
-
-  // Sharding must not change what work is done, only where.
-  EXPECT_EQ(sparse_stats.pairs_evaluated, pooled_stats.pairs_evaluated);
-  EXPECT_EQ(sparse_stats.target_set_builds, pooled_stats.target_set_builds);
-  EXPECT_EQ(sparse_stats.order_calls, pooled_stats.order_calls);
-
-  // The solver graph skips the in-log direction, which §2.3 rule 2 settles
-  // without an `order()` call, and builds each pair's shared set the same
-  // way — so it makes exactly the matrix builder's `order()` calls.
-  ConstraintBuildStats graph_stats;
-  (void)build_solver_graph(universe, records, &graph_stats);
-  EXPECT_EQ(graph_stats.order_calls, sparse_stats.order_calls);
+  EXPECT_EQ(graph_stats.pairs_evaluated, open_directions);
+  EXPECT_EQ(graph_stats.target_set_builds, sharing_pairs);
 }
 
 TEST(SparseConstraints, EmptyAndSingleton) {
@@ -96,6 +117,28 @@ TEST(SparseConstraints, EmptyAndSingleton) {
       "solo", std::vector<ObjectId>{ObjectId(0)}));
   std::vector<Log> logs;
   logs.push_back(make_log("a", std::move(one)));
+  check_equivalence(u, logs);
+}
+
+TEST(SparseConstraints, DuplicateTargets) {
+  // An action listing one target twice shares it with itself: the graph
+  // keeps that self-pair (it evaluates both of its directions), but it must
+  // leave no trace in the Relations or the §6 overlap rows.
+  const ScriptedObject::OrderFn table = [](const Action& a, const Action& b,
+                                           LogRelation) {
+    if (a.tag().op == b.tag().op) return Constraint::kUnsafe;
+    return a.tag().op < b.tag().op ? Constraint::kMaybe : Constraint::kSafe;
+  };
+  Universe u;
+  const ObjectId x = u.add(std::make_unique<ScriptedObject>(table));
+  const ObjectId y = u.add(std::make_unique<ScriptedObject>(table));
+  std::vector<Log> logs;
+  logs.push_back(make_log(
+      "a", {std::make_shared<testing::NopAction>("p", std::vector{x, x}),
+            std::make_shared<testing::NopAction>("q", std::vector{x, y})}));
+  logs.push_back(make_log(
+      "b", {std::make_shared<testing::NopAction>("r", std::vector{y, x, y}),
+            std::make_shared<testing::NopAction>("p", std::vector{y})}));
   check_equivalence(u, logs);
 }
 
@@ -181,8 +224,8 @@ TEST(SparseConstraints, RandomScriptedUniverses) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     check_equivalence(u, logs);
 
-    // With several objects some pairs are disjoint, so the sparse builder
-    // must also evaluate strictly fewer ordered pairs, not just tie.
+    // With several objects some pairs are disjoint, so the graph build must
+    // also evaluate strictly fewer ordered pairs, not just tie.
     const std::vector<ActionRecord> records = flatten(logs);
     const auto disjoint = [](const ActionRecord& x, const ActionRecord& y) {
       for (ObjectId tx : x.action->targets()) {
@@ -202,10 +245,10 @@ TEST(SparseConstraints, RandomScriptedUniverses) {
       }
     }
     if (any_disjoint) {
-      ConstraintBuildStats dense_stats, sparse_stats;
+      ConstraintBuildStats dense_stats, graph_stats;
       (void)build_constraints_dense(u, records, &dense_stats);
-      (void)build_constraints(u, records, {nullptr, &sparse_stats});
-      EXPECT_LT(sparse_stats.pairs_evaluated, dense_stats.pairs_evaluated);
+      (void)build_solver_graph(u, records, &graph_stats);
+      EXPECT_LT(graph_stats.pairs_evaluated, dense_stats.pairs_evaluated);
     }
   }
 }

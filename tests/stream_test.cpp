@@ -25,6 +25,7 @@
 #include "solver/local_search.hpp"
 #include "stream/daemon.hpp"
 #include "stream/stream_spec_codec.hpp"
+#include "test_helpers.hpp"
 #include "workload/generators.hpp"
 
 namespace icecube {
@@ -239,6 +240,26 @@ TEST(StreamCommit, ViolationsAreCountedNotHidden) {
   EXPECT_LE(broken, run.counters.commit_violations);
 }
 
+// --- arrival order ---------------------------------------------------------
+
+TEST(ArrivalOrder, RoundRobinIsPositionMajorOverUnequalLogs) {
+  // Logs of sizes 1, 3, 3: once log 0 runs dry, the other two still
+  // alternate position by position.
+  std::vector<Log> logs;
+  for (const std::size_t size : {1U, 3U, 3U}) {
+    std::vector<ActionPtr> actions;
+    for (std::size_t p = 0; p < size; ++p) {
+      actions.push_back(std::make_shared<testing::NopAction>(
+          "op", std::vector<ObjectId>{}));
+    }
+    logs.push_back(
+        testing::make_log("l" + std::to_string(logs.size()), actions));
+  }
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> want{
+      {0, 0}, {1, 0}, {2, 0}, {1, 1}, {2, 1}, {1, 2}, {2, 2}};
+  EXPECT_EQ(arrival_order(logs, StreamArrival::kRoundRobin, 1), want);
+}
+
 // --- incremental constraint graph ----------------------------------------
 
 TEST(IncrementalGraph, MatchesBatchBuilderUnderInterleavedArrival) {
@@ -268,6 +289,14 @@ TEST(IncrementalGraph, MatchesBatchBuilderUnderInterleavedArrival) {
       EXPECT_EQ(inc.overlap_lists[i], batch.overlap_lists[i])
           << "overlap of " << i;
     }
+    // The same `maybe` directions; each builder lists them in its own
+    // evaluation order.
+    auto inc_maybe = inc.maybe;
+    auto batch_maybe = batch.maybe;
+    std::sort(inc_maybe.begin(), inc_maybe.end());
+    std::sort(batch_maybe.begin(), batch_maybe.end());
+    EXPECT_EQ(inc_maybe, batch_maybe);
+    EXPECT_FALSE(batch_maybe.empty());
     // Same pair evaluations as the batch builder — the O(overlap) claim.
     EXPECT_EQ(incremental.build_stats().pairs_evaluated,
               batch_stats.pairs_evaluated);
@@ -276,6 +305,47 @@ TEST(IncrementalGraph, MatchesBatchBuilderUnderInterleavedArrival) {
     EXPECT_EQ(incremental.build_stats().order_calls, batch_stats.order_calls);
     EXPECT_GT(batch_stats.order_calls, 0u);
   }
+}
+
+TEST(IncrementalGraph, MatchesBatchBuilderWithRepeatedTargets) {
+  // An action listing a target twice pairs with itself, and every pair it
+  // forms shares that target once: the same lists and the same `order()`
+  // calls as the batch build.
+  const testing::ScriptedObject::OrderFn table =
+      [](const Action& a, const Action& b, LogRelation) {
+        if (a.tag().op == b.tag().op) return Constraint::kUnsafe;
+        return a.tag().op < b.tag().op ? Constraint::kMaybe
+                                       : Constraint::kSafe;
+      };
+  Universe u;
+  const ObjectId x = u.add(std::make_unique<testing::ScriptedObject>(table));
+  const ObjectId y = u.add(std::make_unique<testing::ScriptedObject>(table));
+  const auto action = [](const char* op, std::vector<ObjectId> targets) {
+    return std::make_shared<testing::NopAction>(op, std::move(targets));
+  };
+  const std::vector<ActionRecord> records{
+      {action("p", {x, x}), LogId(0), 0},
+      {action("q", {x, y}), LogId(0), 1},
+      {action("r", {y, x, y}), LogId(1), 0},
+      {action("p", {y}), LogId(1), 1}};
+  IncrementalConstraintGraph incremental(u);
+  for (const ActionRecord& r : records) {
+    incremental.add_action(r.action, r.log, r.position);
+  }
+  ConstraintBuildStats batch_stats;
+  const SolverGraph batch = build_solver_graph(u, records, &batch_stats);
+  const SolverGraph& inc = incremental.graph();
+  for (std::size_t i = 0; i < batch.n; ++i) {
+    EXPECT_EQ(inc.preds[i], batch.preds[i]) << "preds of " << i;
+    EXPECT_EQ(inc.succs[i], batch.succs[i]) << "succs of " << i;
+    EXPECT_EQ(inc.overlap_lists[i], batch.overlap_lists[i])
+        << "overlap of " << i;
+  }
+  EXPECT_EQ(incremental.build_stats().pairs_evaluated,
+            batch_stats.pairs_evaluated);
+  EXPECT_EQ(incremental.build_stats().target_set_builds,
+            batch_stats.target_set_builds);
+  EXPECT_EQ(incremental.build_stats().order_calls, batch_stats.order_calls);
 }
 
 TEST(IncrementalGraph, DirtyRootsCoverExactlyTheTouchedComponents) {

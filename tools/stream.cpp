@@ -37,7 +37,6 @@
 #include "capture/wire_log_writer.hpp"
 #include "stream/daemon.hpp"
 #include "stream/stream_spec_codec.hpp"
-#include "util/rng.hpp"
 #include "workload/generators.hpp"
 
 namespace {
@@ -287,38 +286,9 @@ int main(int argc, char** argv) {
     // Pre-materialize the arrival order so the submit loop measures the
     // ring + daemon, not the workload generator.
     std::vector<std::pair<LogId, ActionPtr>> arrivals;
-    {
-      std::vector<std::size_t> next(gen.logs.size(), 0);
-      std::size_t total = 0;
-      for (const Log& log : gen.logs) total += log.size();
-      arrivals.reserve(total);
-      Rng rng(spec.arrival_seed);
-      for (std::size_t taken = 0; taken < total; ++taken) {
-        std::size_t pick_log = 0;
-        switch (spec.arrival) {
-          case StreamArrival::kFlatten:
-            while (next[pick_log] >= gen.logs[pick_log].size()) ++pick_log;
-            break;
-          case StreamArrival::kRoundRobin:
-            pick_log = taken % gen.logs.size();
-            while (next[pick_log] >= gen.logs[pick_log].size()) {
-              pick_log = (pick_log + 1) % gen.logs.size();
-            }
-            break;
-          case StreamArrival::kShuffled: {
-            std::uint64_t pick = rng.below(total - taken);
-            for (pick_log = 0;; ++pick_log) {
-              const std::size_t rem =
-                  gen.logs[pick_log].size() - next[pick_log];
-              if (pick < rem) break;
-              pick -= rem;
-            }
-            break;
-          }
-        }
-        arrivals.emplace_back(LogId(static_cast<std::uint32_t>(pick_log)),
-                              gen.logs[pick_log].ptr(next[pick_log]++));
-      }
+    for (const auto& [l, p] :
+         arrival_order(gen.logs, spec.arrival, spec.arrival_seed)) {
+      arrivals.emplace_back(LogId(l), gen.logs[l].ptr(p));
     }
 
     StreamDaemon daemon(gen.initial, options, max_batch);

@@ -180,6 +180,9 @@ IncrementalReconciler::~IncrementalReconciler() = default;
 bool IncrementalReconciler::open_next_cutset() {
   while (next_cutset_ < cutsets_.size()) {
     const Cutset& cutset = cutsets_[next_cutset_++];
+    // The simulator's counters are derived from working_: drop it before
+    // working_ changes, and start the new one on the new relations.
+    simulator_.reset();
     if (cutset.empty()) {
       working_ = relations_;
     } else {

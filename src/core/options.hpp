@@ -81,8 +81,12 @@ enum class SolverKind : std::uint8_t {
 /// identical schedules regardless of thread count.
 struct LocalSearchOptions {
   std::uint64_t seed = 0x1cecbe0ULL;
-  /// Move proposals before stopping (each proposal may or may not be
+  /// Move proposals before one walk stops (each proposal may or may not be
   /// evaluated; infeasible proposals count so the loop always terminates).
+  /// The budget is per walk, capped by `SearchLimits::max_schedules`: one
+  /// walk per cutset, and on the component-decomposed sparse path one per
+  /// conflict component, so a run there proposes up to components ×
+  /// min(max_moves, max_schedules) moves (DESIGN.md §13).
   std::uint64_t max_moves = 20000;
   /// Stop after this many consecutive proposals without a new incumbent.
   std::uint64_t stall_moves = 5000;
@@ -120,7 +124,9 @@ struct LocalSearchOptions {
 /// we additionally support wall-clock and step budgets.
 struct SearchLimits {
   /// Maximum number of schedules *explored* (terminal nodes: completed or
-  /// dead-ended), mirroring the paper's simulation cap.
+  /// dead-ended), mirroring the paper's simulation cap. The local-search
+  /// backend reads it as a per-walk cap on move proposals (see
+  /// LocalSearchOptions::max_moves).
   std::uint64_t max_schedules = 100000;
   /// Maximum individual action simulations (precondition+execute attempts).
   std::uint64_t max_steps = UINT64_MAX;

@@ -12,6 +12,7 @@
 #include "core/outcome.hpp"
 #include "core/cutset.hpp"
 #include "core/universe.hpp"
+#include "util/bitset.hpp"
 #include "util/ids.hpp"
 
 namespace icecube {
@@ -22,6 +23,12 @@ struct PrefixView {
   const std::vector<ActionId>& actions;
   /// Actions dropped so far (FailureMode::kSkipAction only).
   const std::vector<ActionId>& skipped;
+  /// Scheduled, skipped and cutset-excluded actions.
+  const Bitset& done;
+  /// S of §3.3: the actions outside `done` whose closed D-predecessors are
+  /// all in `done`. The candidates are S narrowed by the extra dependencies,
+  /// the heuristic H and the equivalence pruning.
+  const Bitset& eligible;
 };
 
 /// Application hook interface. All hooks have neutral defaults, so policies

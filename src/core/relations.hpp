@@ -69,6 +69,10 @@ class Relations {
   [[nodiscard]] const Bitset& predecessors(ActionId b) const {
     return closed_pred_[b.index()];
   }
+  /// Closed successors of `a`: every action it must precede.
+  [[nodiscard]] const Bitset& successors(ActionId a) const {
+    return closed_succ_[a.index()];
+  }
   /// I-successors of `a`: every c with a I c.
   [[nodiscard]] const Bitset& independents_of(ActionId a) const {
     return indep_[a.index()];

@@ -6,83 +6,67 @@ namespace icecube {
 
 CandidateScheduler::CandidateScheduler(const Relations& relations,
                                        Heuristic heuristic, BRule b_rule,
-                                       Bitset excluded, bool prune_equivalent)
+                                       bool prune_equivalent)
     : relations_(relations),
       heuristic_(heuristic),
       b_rule_(b_rule),
-      excluded_(std::move(excluded)),
-      prune_equivalent_(prune_equivalent) {
-  assert(excluded_.size() == relations_.size());
-}
+      prune_equivalent_(prune_equivalent),
+      s_(relations.size()),
+      c_(relations.size()),
+      b_(relations.size()),
+      chosen_(relations.size()) {}
 
-Bitset CandidateScheduler::eligible(
-    const Bitset& done,
-    const std::vector<std::pair<ActionId, ActionId>>& extra_deps) const {
-  const std::size_t n = relations_.size();
-  Bitset s(n);
-  for (std::size_t b = 0; b < n; ++b) {
-    if (done.test(b)) continue;
-    // Every D-predecessor must already be accounted for (scheduled, skipped
-    // or excluded — `done` contains all three).
-    Bitset pending = relations_.predecessors(ActionId(b));
-    pending -= done;
-    pending.reset(b);  // ignore formal reflexivity
-    if (pending.any()) continue;
-    s.set(b);
-  }
+void CandidateScheduler::successors(
+    const Bitset& s, const Bitset& done, ActionId last,
+    const std::vector<std::pair<ActionId, ActionId>>& extra_deps, Rng* rng,
+    std::vector<ActionId>& out) {
+  assert(s.size() == relations_.size() && done.size() == relations_.size());
+  s_ = s;
   for (const auto& [a, b] : extra_deps) {
-    if (!done.test(a.index()) && a != b) s.reset(b.index());
+    if (!done.test(a.index()) && a != b) s_.reset(b.index());
   }
-  return s;
-}
-
-std::vector<ActionId> CandidateScheduler::successors(
-    const Bitset& done, ActionId last,
-    const std::vector<std::pair<ActionId, ActionId>>& extra_deps,
-    Rng* rng) const {
-  const Bitset s = eligible(done, extra_deps);
 
   // C: eligible actions that I-follow the last scheduled action.
-  Bitset c(relations_.size());
   if (last.valid()) {
-    c = relations_.independents_of(last);
-    c &= s;
+    c_ = relations_.independents_of(last);
+    c_ &= s_;
+  } else {
+    c_.clear();
   }
 
-  Bitset chosen(relations_.size());
   switch (heuristic_) {
     case Heuristic::kAll:
-      chosen = s;
+      chosen_ = s_;
       break;
     case Heuristic::kSafe:
-      chosen = c.any() ? c : s;
+      chosen_ = c_.any() ? c_ : s_;
       break;
     case Heuristic::kStrict: {
-      if (c.any()) {
+      if (c_.any()) {
         // "picks one action in C arbitrarily and tries only this action"
-        const auto members = c.to_vector();
         const std::size_t pick =
-            (rng != nullptr) ? rng->below(members.size()) : 0;
-        chosen.set(members[pick]);
+            (rng != nullptr) ? rng->below(c_.count()) : 0;
+        chosen_.clear();
+        chosen_.set(c_.nth_set(pick));
       } else {
         // S − B, where B holds the eligible actions that still have an
         // available I-predecessor (BRule::kLookahead; see DESIGN.md §5.2 —
         // the literal reading quantifies over the empty C and removes
         // nothing).
-        chosen = s;
+        chosen_ = s_;
         if (b_rule_ == BRule::kLookahead) {
-          Bitset b_set(relations_.size());
-          s.for_each([&](std::size_t b) {
-            Bitset preds = relations_.independent_predecessors_of(ActionId(b));
-            preds &= s;
-            preds.reset(b);
-            if (preds.any()) b_set.set(b);
+          b_.clear();
+          s_.for_each([this](std::size_t b) {
+            if (relations_.independent_predecessors_of(ActionId(b))
+                    .intersects_except(s_, b)) {
+              b_.set(b);
+            }
           });
           // Never prune S to nothing: if every eligible action has an
           // available I-predecessor, fall back to S (otherwise the search
           // would dead-end while work remains, losing completeness for no
           // heuristic gain).
-          if (b_set != s) chosen -= b_set;
+          if (b_ != s_) chosen_ -= b_;
         }
       }
       break;
@@ -98,19 +82,17 @@ std::vector<ActionId> CandidateScheduler::successors(
   // extra dependency blocked it, which is why the pruning is disabled when
   // any are active.
   if (prune_equivalent_ && last.valid() && extra_deps.empty()) {
-    chosen.for_each([&](std::size_t c) {
+    chosen_.for_each([&](std::size_t c) {
       if (ActionId(c) < last &&
           relations_.independent(last, ActionId(c)) &&
           relations_.independent(ActionId(c), last)) {
-        chosen.reset(c);
+        chosen_.reset(c);
       }
     });
   }
 
-  std::vector<ActionId> out;
-  out.reserve(chosen.count());
-  chosen.for_each([&out](std::size_t i) { out.push_back(ActionId(i)); });
-  return out;
+  out.clear();
+  chosen_.for_each([&out](std::size_t i) { out.push_back(ActionId(i)); });
 }
 
 }  // namespace icecube

@@ -2,7 +2,8 @@
 //
 // Given a prefix P of already chosen actions, the scheduler derives:
 //
-//   S — actions whose (closed) D-predecessors are all accounted for,
+//   S — actions whose (closed) D-predecessors are all accounted for (kept
+//       incrementally by the Simulator as actions are placed and unwound),
 //   C — members of S that I-follow the last action of P,
 //   B — members of S that still have an available I-predecessor,
 //
@@ -26,46 +27,45 @@
 
 namespace icecube {
 
-/// Stateless-per-node candidate generator. One instance serves a whole
-/// search over a fixed relation set and cutset.
+/// Per-node candidate generator. One instance serves a whole search over a
+/// fixed relation set and cutset. The search maintains S itself (see
+/// Simulator); the scheduler narrows it to C, B and the heuristic's choice in
+/// scratch sets it owns, so a call allocates nothing once the output vector
+/// has grown to the largest candidate list.
 class CandidateScheduler {
  public:
-  /// `excluded` are the actions removed by the active cutset; they are never
-  /// candidates, and dependence on them is treated as satisfied (D only
-  /// constrains schedules that contain both actions). With
-  /// `prune_equivalent`, candidates that would create an adjacent
+  /// With `prune_equivalent`, candidates that would create an adjacent
   /// commuting inversion (see ReconcilerOptions::prune_equivalent) are
   /// dropped; the pruning is suppressed while prefix-conditional extra
   /// dependencies are active, since those can invalidate the exchange
   /// argument.
   CandidateScheduler(const Relations& relations, Heuristic heuristic,
-                     BRule b_rule, Bitset excluded,
-                     bool prune_equivalent = false);
+                     BRule b_rule, bool prune_equivalent = false);
 
-  /// The set S for a search node. `done` must contain every scheduled,
-  /// skipped and excluded action. `extra_deps` are prefix-conditional
-  /// dependencies (a must precede b) injected by the application policy.
-  [[nodiscard]] Bitset eligible(
-      const Bitset& done,
-      const std::vector<std::pair<ActionId, ActionId>>& extra_deps) const;
-
-  /// Applies H and returns the candidates to try, in ascending id order
-  /// (the application policy may reorder them afterwards). `last` is the
-  /// final action of the prefix (invalid id at the root). `rng` is consulted
-  /// only by H=Strict when configured for random picks.
-  [[nodiscard]] std::vector<ActionId> successors(
-      const Bitset& done, ActionId last,
-      const std::vector<std::pair<ActionId, ActionId>>& extra_deps,
-      Rng* rng) const;
-
-  [[nodiscard]] const Bitset& excluded() const { return excluded_; }
+  /// Applies H to the node's S and writes the candidates to try into `out`
+  /// (replacing its contents), in ascending id order (the application
+  /// policy may reorder them afterwards). `s` holds the actions that are not
+  /// `done` and whose closed D-predecessors are all in `done` (scheduled,
+  /// skipped or excluded by the cutset). `extra_deps` are prefix-conditional
+  /// dependencies (a must precede b) injected by the application policy: b
+  /// is no candidate while a is not done. `last` is the final action of the
+  /// prefix (invalid id at the root). `rng` is consulted only by H=Strict
+  /// when configured for random picks.
+  void successors(const Bitset& s, const Bitset& done, ActionId last,
+                  const std::vector<std::pair<ActionId, ActionId>>& extra_deps,
+                  Rng* rng, std::vector<ActionId>& out);
 
  private:
   const Relations& relations_;
   Heuristic heuristic_;
   BRule b_rule_;
-  Bitset excluded_;
   bool prune_equivalent_;
+  // Per-call scratch, sized once: S after the extra dependencies, C, B and
+  // the chosen set.
+  Bitset s_;
+  Bitset c_;
+  Bitset b_;
+  Bitset chosen_;
 };
 
 }  // namespace icecube

@@ -3,18 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-
 namespace icecube {
-
-namespace {
-
-Bitset cutset_bits(const Cutset& cutset, std::size_t n) {
-  Bitset bits(n);
-  for (ActionId a : cutset.actions) bits.set(a.index());
-  return bits;
-}
-
-}  // namespace
 
 Simulator::Simulator(const std::vector<ActionRecord>& records,
                      const Relations& relations,
@@ -30,8 +19,10 @@ Simulator::Simulator(const std::vector<ActionRecord>& records,
       stats_(stats),
       clock_(clock),
       deadline_(deadline),
-      overlap_(target_overlap),
-      done_(records.size()) {
+      done_(records.size()),
+      pending_(records.size()),
+      ready_(records.size()),
+      overlap_(target_overlap) {
   if (options.strict_pick_seed != 0) {
     strict_rng_.emplace(options.strict_pick_seed);
   }
@@ -56,10 +47,19 @@ void Simulator::start(const Cutset& cutset, const Universe& initial) {
          "failure memoization needs the shared overlap index");
   clone_mark_ = Universe::thread_counters();
   known_failures_.clear();  // keys are relative to this cutset's searches
-  const Bitset excluded = cutset_bits(cutset, records_.size());
   scheduler_.emplace(relations_, options_.heuristic, options_.b_rule,
-                     excluded, options_.prune_equivalent);
-  done_ = excluded;
+                     options_.prune_equivalent);
+  done_.clear();
+  ready_.clear();
+  for (std::size_t b = 0; b < records_.size(); ++b) {
+    const Bitset& preds = relations_.predecessors(ActionId(b));
+    pending_[b] = static_cast<std::uint32_t>(preds.count() - preds.test(b));
+    if (pending_[b] == 0) ready_.set(b);
+  }
+  // Cut actions are never scheduled; dependence on them counts as met.
+  for (ActionId a : cutset.actions) {
+    if (!done_.test(a.index())) mark_done(a);
+  }
   prefix_.clear();
   skipped_.clear();
   cut_actions_ = cutset.actions;
@@ -76,10 +76,32 @@ bool Simulator::run(const Cutset& cutset, const Universe& initial) {
   return !stop_;
 }
 
+void Simulator::mark_done(ActionId action) {
+  const std::size_t a = action.index();
+  assert(!done_.test(a));
+  done_.set(a);
+  ready_.reset(a);
+  relations_.successors(action).for_each([this, a](std::size_t b) {
+    if (b == a) return;  // a cycle's closure relates a to itself
+    if (--pending_[b] == 0 && !done_.test(b)) ready_.set(b);
+  });
+}
+
+void Simulator::unmark_done(ActionId action) {
+  const std::size_t a = action.index();
+  assert(done_.test(a));
+  relations_.successors(action).for_each([this, a](std::size_t b) {
+    if (b == a) return;
+    if (pending_[b]++ == 0) ready_.reset(b);
+  });
+  done_.reset(a);
+  if (pending_[a] == 0) ready_.set(a);
+}
+
 void Simulator::fill_candidates(Frame& frame) {
-  frame.candidates = scheduler_->successors(
-      done_, last_scheduled(), frame.extra_deps,
-      strict_rng_ ? &*strict_rng_ : nullptr);
+  scheduler_->successors(ready_, done_, last_scheduled(), frame.extra_deps,
+                         strict_rng_ ? &*strict_rng_ : nullptr,
+                         frame.candidates);
   std::erase_if(frame.candidates,
                 [&frame](ActionId a) { return frame.tried.test(a.index()); });
   frame.next = 0;
@@ -107,14 +129,13 @@ Simulator::Frame Simulator::acquire_frame() {
 }
 
 bool Simulator::push_node(Universe state, ActionId via) {
-  const PrefixView view{prefix_, skipped_};
-  if (!policy_.keep_prefix(view, state)) return false;
+  if (!policy_.keep_prefix(view(), state)) return false;
   Frame frame = acquire_frame();
   frame.state = std::move(state);
   frame.via = via;
-  policy_.extra_dependencies(view, frame.extra_deps);
+  policy_.extra_dependencies(view(), frame.extra_deps);
   fill_candidates(frame);
-  policy_.order_candidates(view, frame.candidates);
+  policy_.order_candidates(view(), frame.candidates);
   stack_.push_back(std::move(frame));
   return true;
 }
@@ -122,13 +143,13 @@ bool Simulator::push_node(Universe state, ActionId via) {
 void Simulator::pop_node() {
   Frame& frame = stack_.back();
   for (; frame.skips > 0; --frame.skips) {
-    done_.reset(skipped_.back().index());
+    unmark_done(skipped_.back());
     skipped_.pop_back();
   }
   if (frame.via.valid()) {
     assert(!prefix_.empty() && prefix_.back() == frame.via);
     prefix_.pop_back();
-    done_.reset(frame.via.index());
+    unmark_done(frame.via);
   }
   Frame spare = std::move(stack_.back());
   stack_.pop_back();
@@ -158,8 +179,7 @@ bool Simulator::step(std::uint64_t schedule_budget) {
     Frame& frame = stack_.back();
     if (frame.recompute) {
       fill_candidates(frame);
-      const PrefixView view{prefix_, skipped_};
-      policy_.order_candidates(view, frame.candidates);
+      policy_.order_candidates(view(), frame.candidates);
       frame.recompute = false;
     }
     if (frame.next >= frame.candidates.size()) {
@@ -217,12 +237,11 @@ bool Simulator::step(std::uint64_t schedule_budget) {
     }
 
     if (!ok) {
-      const PrefixView view{prefix_, skipped_};
-      policy_.on_failure(view, frame.state, cand, failure);
+      policy_.on_failure(view(), frame.state, cand, failure);
       if (options_.failure_mode == FailureMode::kSkipAction) {
         // Drop the action for the remainder of this subtree; re-derive the
         // candidates (the skip may unlock D-successors).
-        done_.set(cand.index());
+        mark_done(cand);
         skipped_.push_back(cand);
         ++frame.skips;
         frame.recompute = true;
@@ -230,14 +249,14 @@ bool Simulator::step(std::uint64_t schedule_budget) {
       continue;  // AbortBranch: siblings still explored
     }
 
-    done_.set(cand.index());
+    mark_done(cand);
     prefix_.push_back(cand);
     frame.explored_child = true;
     if (!push_node(std::move(shadow), cand)) {
       // Application pruned the child prefix: unwind the action.
       ++stats_.prefix_prunes;
       prefix_.pop_back();
-      done_.reset(cand.index());
+      unmark_done(cand);
     }
   }
   flush_clone_counters();

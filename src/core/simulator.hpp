@@ -38,7 +38,10 @@ namespace icecube {
 class Simulator {
  public:
   /// `relations` must already be restricted to the cutset (see
-  /// `Relations::restricted`); `clock` is the whole-run stopwatch used for
+  /// `Relations::restricted`). The simulator derives its eligible-set
+  /// counters from it in `start()`, so a caller that reassigns the object
+  /// behind `relations` must not step this simulator again before another
+  /// `start()`. `clock` is the whole-run stopwatch used for
   /// time-to-best reporting, `deadline` the fixed point at which the search
   /// must stop (capture it once per run with `Deadline::after_seconds`).
   /// The deadline is immutable, so worker threads of the parallel driver
@@ -97,6 +100,13 @@ class Simulator {
   /// the application pruned the prefix.
   bool push_node(Universe state, ActionId via);
   void pop_node();
+  /// The only writers of `done_`: each keeps `pending_` and `ready_` exact
+  /// by walking `action`'s closed-successor row, O(n/64 + out-degree).
+  void mark_done(ActionId action);
+  void unmark_done(ActionId action);
+  [[nodiscard]] PrefixView view() const {
+    return {prefix_, skipped_, done_, ready_};
+  }
   void fill_candidates(Frame& frame);
   void record_outcome(const Universe& state);
   /// A blank frame, reusing storage recycled by `pop_node` when available
@@ -129,6 +139,11 @@ class Simulator {
   std::optional<Rng> strict_rng_;
 
   Bitset done_;                        // scheduled ∪ skipped ∪ excluded
+  // S of §3.3, kept incrementally: pending_[b] counts b's closed
+  // D-predecessors (other than b) outside done_; ready_ holds every b
+  // outside done_ with pending_[b] == 0.
+  std::vector<std::uint32_t> pending_;
+  Bitset ready_;
   std::vector<ActionId> prefix_;       // executed actions, in order
   std::vector<ActionId> skipped_;      // dropped actions (skip mode)
   std::vector<ActionId> cut_actions_;  // the active cutset

@@ -2,7 +2,10 @@
 //
 // The scheduler manipulates sets of actions (scheduled, skipped, candidate,
 // dependency rows) on every search step; a packed bit set keeps those
-// operations O(N/64) and allocation-free after construction.
+// operations O(N/64). Every member operation, and copy-assignment between
+// sets of equal size, is allocation-free after construction; only the
+// value-returning operators (`|`, `&`, `-`), copy-construction and
+// `to_vector` allocate.
 #pragma once
 
 #include <cassert>
@@ -88,6 +91,36 @@ class Bitset {
     for (std::size_t i = 0; i < words_.size(); ++i)
       if (words_[i] & ~o.words_[i]) return false;
     return true;
+  }
+
+  /// True iff this set and `o` share an element other than `skip`.
+  [[nodiscard]] bool intersects_except(const Bitset& o,
+                                       std::size_t skip) const {
+    assert(size_ == o.size_ && skip < size_);
+    const std::size_t skip_word = skip >> 6;
+    for (std::size_t i = 0; i < words_.size(); ++i) {
+      std::uint64_t common = words_[i] & o.words_[i];
+      if (i == skip_word) common &= ~(1ULL << (skip & 63));
+      if (common != 0) return true;
+    }
+    return false;
+  }
+
+  /// Index of the `k`-th set bit in increasing order (0-based); requires
+  /// `k < count()`.
+  [[nodiscard]] std::size_t nth_set(std::size_t k) const {
+    for (std::size_t wi = 0; wi < words_.size(); ++wi) {
+      std::uint64_t w = words_[wi];
+      const auto in_word = static_cast<std::size_t>(__builtin_popcountll(w));
+      if (k >= in_word) {
+        k -= in_word;
+        continue;
+      }
+      for (; k > 0; --k) w &= w - 1;
+      return wi * 64 + static_cast<std::size_t>(__builtin_ctzll(w));
+    }
+    assert(false && "nth_set: k >= count()");
+    return size_;
   }
 
   /// Invoke `fn(index)` for every set bit, in increasing index order.

@@ -45,12 +45,21 @@ std::string failure_detail(const ChaosReport& report) {
   return out;
 }
 
-TEST(Chaos, TwoHundredSeedHostileSweep) {
+// The hostile sweep over seeds 1-200, split into 8 shards of 25 seeds so
+// that ctest -j runs them side by side. The union of the shards is exactly
+// seeds 1-200.
+constexpr std::uint64_t kSweepSeeds = 200;
+constexpr std::uint64_t kSweepShard = 25;
+
+class HostileSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(HostileSweep, EverySeedConverges) {
   // Speed: the deep replay invariant re-executes every history from
   // genesis on each commit; the sweep keeps it off and a dedicated
   // deep-replay sweep below turns it on for a smaller seed range.
-  std::size_t converged = 0;
-  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+  const std::uint64_t first = GetParam();
+  std::uint64_t converged = 0;
+  for (std::uint64_t seed = first; seed < first + kSweepShard; ++seed) {
     ChaosSpec spec = hostile_spec(seed);
     spec.deep_replay = false;
     spec.keep_trace = false;
@@ -58,8 +67,16 @@ TEST(Chaos, TwoHundredSeedHostileSweep) {
     ASSERT_TRUE(report.ok()) << failure_detail(report);
     ++converged;
   }
-  EXPECT_EQ(converged, 200u);
+  EXPECT_EQ(converged, kSweepShard);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, HostileSweep,
+    ::testing::Range<std::uint64_t>(1, kSweepSeeds + 1, kSweepShard),
+    [](const ::testing::TestParamInfo<std::uint64_t>& info) {
+      return "seeds_" + std::to_string(info.param) + "_" +
+             std::to_string(info.param + kSweepShard - 1);
+    });
 
 TEST(Chaos, DeepReplaySweep) {
   for (std::uint64_t seed = 500; seed < 530; ++seed) {

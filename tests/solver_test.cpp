@@ -107,6 +107,36 @@ TEST(SolverBackends, DifferentSeedsMayDifferButStayValid) {
   }
 }
 
+TEST(SolverBackends, MoveBudgetIsPerComponentOnTheDecomposedPath) {
+  // On the sparse whole-problem path every conflict component runs its own
+  // walk, budgeted min(max_moves, limits.max_schedules) proposals: the run
+  // may propose up to components × that many, more than one budget.
+  FagesSpec spec;
+  spec.replicas = 4;
+  spec.tasks_per_replica = 30;
+  spec.seed = 9;
+  const Generated g = workload::fages_workload(spec);
+  struct Budget {
+    std::uint64_t moves;
+    std::uint64_t schedules;
+  };
+  for (const Budget budget : {Budget{60, 100000}, Budget{5000, 40}}) {
+    ReconcilerOptions opts =
+        solver_options(SolverKind::kLocalSearch, budget.moves);
+    opts.limits.max_schedules = budget.schedules;
+    Reconciler r(g.initial, g.logs, opts);
+    const ReconcileResult result = r.run();
+    ASSERT_TRUE(result.found_any());
+    const std::uint64_t per_component =
+        std::min(budget.moves, budget.schedules);
+    const std::uint64_t components = result.stats.components_resolved;
+    EXPECT_GT(components, 1u);
+    EXPECT_LE(result.stats.moves_proposed, components * per_component);
+    EXPECT_GT(result.stats.moves_proposed, per_component)
+        << "components=" << components;
+  }
+}
+
 TEST(SolverBackends, GreedyIsValidAndLocalSearchNeverWorse) {
   for (const std::uint64_t seed : {5ULL, 6ULL, 7ULL, 8ULL}) {
     const Generated g = small_fages(seed);

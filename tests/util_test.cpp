@@ -132,6 +132,73 @@ TEST(Bitset, EqualityIsStructural) {
   EXPECT_EQ(a, b);
 }
 
+// The scheduler's non-allocating helpers, at sizes on and around a word
+// boundary.
+class BitsetHelpers : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  /// Bits that sit on word edges, plus a seeded sprinkle.
+  static Bitset edge_and_random(std::size_t n, std::uint64_t seed) {
+    Bitset bs(n);
+    for (std::size_t i : {std::size_t{0}, std::size_t{62}, std::size_t{63},
+                          std::size_t{64}, n - 1}) {
+      if (i < n) bs.set(i);
+    }
+    Rng rng(seed);
+    for (std::size_t k = 0; k < n / 4; ++k) bs.set(rng.below(n));
+    return bs;
+  }
+};
+
+TEST_P(BitsetHelpers, IntersectsExceptSkipsOnlyTheSelfBit) {
+  const std::size_t n = GetParam();
+  for (std::size_t p : {std::size_t{0}, std::size_t{63}, std::size_t{64},
+                        n - 1}) {
+    if (p >= n) continue;
+    Bitset a(n), b(n);
+    a.set(p);
+    b.set(p);
+    EXPECT_FALSE(a.intersects_except(b, p)) << "n=" << n << " p=" << p;
+    EXPECT_TRUE(a.intersects_except(b, (p + 1) % n)) << "n=" << n;
+    const std::size_t q = (p + 64) % n;  // the same bit in another word
+    if (q == p) continue;
+    a.set(q);
+    b.set(q);
+    EXPECT_TRUE(a.intersects_except(b, p)) << "n=" << n << " q=" << q;
+  }
+  // Against the allocating formulation on seeded sets.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const Bitset a = edge_and_random(n, seed);
+    const Bitset b = edge_and_random(n, seed + 100);
+    for (std::size_t skip = 0; skip < n; ++skip) {
+      Bitset common = a & b;
+      common.reset(skip);
+      ASSERT_EQ(a.intersects_except(b, skip), common.any())
+          << "n=" << n << " seed=" << seed << " skip=" << skip;
+    }
+  }
+}
+
+TEST_P(BitsetHelpers, NthSetMatchesAscendingOrder) {
+  const std::size_t n = GetParam();
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const Bitset bs = edge_and_random(n, seed);
+    const std::vector<std::size_t> members = bs.to_vector();
+    for (std::size_t k = 0; k < members.size(); ++k) {
+      ASSERT_EQ(bs.nth_set(k), members[k]) << "n=" << n << " k=" << k;
+    }
+  }
+  Bitset last(n);
+  last.set(n - 1);
+  EXPECT_EQ(last.nth_set(0), n - 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WordBoundaries, BitsetHelpers,
+    ::testing::Values<std::size_t>(63, 64, 65, 128),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return "n" + std::to_string(info.param);
+    });
+
 TEST(Rng, DeterministicForSeed) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a(), b());
